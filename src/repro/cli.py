@@ -549,7 +549,8 @@ def cmd_profile(args) -> int:
 
 def cmd_faults(args) -> int:
     """Sweep fault-injection rates and print the recovery-cost curve."""
-    from repro.fault import DEFAULT_RATES, fault_rate_curve, parse_sites
+    from repro.fault import (DEFAULT_RATES, fault_rate_curve, parse_sites,
+                             plan_for)
 
     if not _check_workload(args.workload):
         return 2
@@ -565,6 +566,12 @@ def cmd_faults(args) -> int:
     else:
         rates = tuple(args.rates) if args.rates else DEFAULT_RATES
         scale = args.scale
+    try:
+        for rate in rates:
+            plan_for(rate, sites)
+    except ValueError as exc:
+        print(f"repro faults: bad --rates value: {exc}", file=sys.stderr)
+        return 2
     rows = fault_rate_curve(args.workload, mode=mode, rates=rates,
                             sites=sites, scale=scale, seed=args.seed,
                             fault_seed=args.fault_seed)

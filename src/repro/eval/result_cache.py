@@ -172,7 +172,6 @@ def config_fingerprint(config: Any) -> str:
 
 def point_key(workload: str, mode: Any, config: Any, scale: float,
               seed: int, sample_cores: int,
-              recovery_rate: float = 0.0,
               fault_plan: Any = None) -> str:
     """Content hash identifying one (workload, mode, config) sweep point."""
     return fingerprint({
@@ -183,7 +182,6 @@ def point_key(workload: str, mode: Any, config: Any, scale: float,
         "scale": scale,
         "seed": seed,
         "sample_cores": sample_cores,
-        "recovery_rate": recovery_rate,
         "fault_plan": fault_plan,
     })
 

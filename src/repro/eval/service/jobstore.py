@@ -343,7 +343,6 @@ def point_to_spec(point: SweepPoint) -> Dict[str, Any]:
     return {"workload": point.workload, "mode": point.mode.value,
             "scale": point.scale, "seed": point.seed,
             "sample_cores": point.sample_cores,
-            "recovery_rate": point.recovery_rate,
             "config": config_to_spec(point.config)}
 
 
@@ -351,12 +350,18 @@ def point_from_spec(spec: Dict[str, Any]) -> SweepPoint:
     """Rebuild one :class:`SweepPoint` from its wire spec.
 
     Raises :class:`ValueError` on malformed specs (unknown mode or
-    preset, missing workload) — the daemon turns that into a structured
+    preset, missing workload, a non-zero ``recovery_rate``, which
+    :class:`FaultPlan` replaces) — the daemon turns that into a structured
     error reply instead of a dead connection.
     """
     workload = spec.get("workload")
     if not isinstance(workload, str) or not workload:
         raise ValueError("point spec needs a 'workload' name")
+    if spec.get("recovery_rate", 0) != 0:
+        raise ValueError(
+            "'recovery_rate' is no longer a sweep knob; inject recoveries "
+            "with a FaultPlan (repro.fault.FaultPlan.uniform(rate)) "
+            "through run_sweep() in-process")
     mode_value = spec.get("mode", "ns")
     try:
         mode = ExecMode(mode_value)
@@ -369,5 +374,4 @@ def point_from_spec(spec: Dict[str, Any]) -> SweepPoint:
         config=config_from_spec(spec.get("config")),
         scale=float(spec.get("scale", 1.0 / 64.0)),
         seed=int(spec.get("seed", 42)),
-        sample_cores=int(spec.get("sample_cores", 4)),
-        recovery_rate=float(spec.get("recovery_rate", 0.0)))
+        sample_cores=int(spec.get("sample_cores", 4)))

@@ -118,14 +118,12 @@ class SweepPoint:
     scale: float = 1.0 / 64.0
     seed: int = 42
     sample_cores: int = 4
-    recovery_rate: float = 0.0
     fault_plan: Optional[FaultPlan] = None
 
     def key(self) -> str:
         """Content hash for the persistent result cache and the journal."""
         return point_key(self.workload, self.mode, self.config, self.scale,
-                         self.seed, self.sample_cores, self.recovery_rate,
-                         self.fault_plan)
+                         self.seed, self.sample_cores, self.fault_plan)
 
 
 @dataclass
@@ -392,7 +390,6 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             result = run_workload(source, p.mode, config=p.config,
                                   scale=p.scale, seed=p.seed,
                                   sample_cores=p.sample_cores,
-                                  recovery_rate=p.recovery_rate,
                                   fault_plan=p.fault_plan,
                                   heartbeat=_beat if hb_path else None)
             records.append((_OK, result))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple
@@ -71,8 +72,11 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("alias_rate", "tlb_miss_rate", "lock_conflict_rate",
                      "scc_evict_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            # ``nan < 0`` is False, so finiteness needs its own check.
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def uniform(cls, rate: float, seed: int = 0) -> "FaultPlan":

@@ -21,7 +21,8 @@ service rate and a done/progress message keeps SE_core's credit loop going.
 The simulation reports throughput (iterations/cycle), total cycles, and an
 exact message inventory — consumed by the top-level simulator for both
 timing and traffic. ``run_recovery`` models the precise-state restoration
-episode (alias / context switch / fault, Fig 7 b-c).
+episode (alias / context switch / fault, Fig 7 b-c), and
+``resolve_recovery_schedule`` a stream's whole schedule of them at once.
 
 Two engines implement the episode:
 
@@ -45,9 +46,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.engine import Simulator
 from repro.noc.message import MessageType
-from repro.trace.events import UNTRACKED, EventKind
+from repro.trace.events import TRACK_RECOVERY, UNTRACKED, EventKind
 from repro.trace.tracer import Tracer
 
 
@@ -368,67 +371,132 @@ class RecoveryResult:
     messages: Dict[MessageType, int]
 
 
+#: In-core re-execution cost of one discarded iteration, in uops.
+REEXECUTE_UOPS_PER_ITERATION = 2.0
+
+_RECOVERY_MESSAGES = {MessageType.STREAM_END: 1, MessageType.STREAM_DONE: 1}
+
+
 def run_recovery(params: ProtocolParams,
-                 uncommitted_chunks: Optional[int] = None,
-                 tracer: Optional[Tracer] = None,
-                 track: int = UNTRACKED,
-                 stream: str = "recovery",
-                 time: float = 0.0) -> RecoveryResult:
+                 uncommitted_chunks: int) -> RecoveryResult:
     """Model the end-and-restore episode after an alias/fault/ctx-switch.
 
     SE_core issues an end message; SE_L3 writes back committed iterations,
-    discards uncommitted progress, and replies done. Cost is one round trip
-    plus the writeback of committed work; uncommitted iterations are lost
-    and re-executed by the core.
+    discards its ``uncommitted_chunks`` credit chunks of uncommitted
+    progress, and replies done. Cost is one round trip plus the writeback
+    of committed work; uncommitted iterations are lost and re-executed by
+    the core.
     """
-    if uncommitted_chunks is None:
-        uncommitted_chunks = params.max_credit_chunks
-    messages = {MessageType.STREAM_END: 1, MessageType.STREAM_DONE: 1}
     cycles = (params.fwd_latency + params.writeback_per_chunk
               + params.back_latency)
     discarded = uncommitted_chunks * params.chunk_iters
-    if tracer is not None:
-        tracer.emit(EventKind.RECOVERY_BEGIN, time, track, stream,
-                    message=MessageType.STREAM_END, mcount=1.0,
-                    uncommitted_chunks=uncommitted_chunks)
-        tracer.emit(EventKind.RECOVERY_END, time + cycles, track, stream,
-                    message=MessageType.STREAM_DONE, mcount=1.0,
-                    cycles=cycles, discarded_iterations=discarded)
+    # A copy, not a literal: hashing the enum keys costs half the call.
     return RecoveryResult(cycles=cycles, discarded_iterations=discarded,
-                          messages=messages)
-
-
-def recovery_schedule_accounting(total_iterations: float, chunk_iters: int,
-                                 episode_depths) -> "RecoveryAccounting":
-    """Iteration bookkeeping of an arbitrary recovery schedule.
-
-    Each episode discards its uncommitted window (``depth`` credit chunks);
-    the discarded iterations leave the offloaded pool and are re-executed
-    in-core.  A discard can never exceed what is still uncommitted, so the
-    committed and re-executed totals always partition the iteration space
-    exactly — the invariant the fault-injection property suite checks.
-    """
-    if total_iterations < 0 or chunk_iters <= 0:
-        raise ValueError("need non-negative iterations, positive chunks")
-    remaining = float(total_iterations)
-    reexecuted = 0.0
-    for depth in episode_depths:
-        if depth < 0:
-            raise ValueError("episode depth must be non-negative")
-        discarded = min(float(depth) * chunk_iters, remaining)
-        reexecuted += discarded
-        remaining -= discarded
-    return RecoveryAccounting(committed_iterations=remaining,
-                              reexecuted_iterations=reexecuted)
+                          messages=dict(_RECOVERY_MESSAGES))
 
 
 @dataclass
-class RecoveryAccounting:
-    """Partition of the iteration space under a recovery schedule."""
+class RecoverySchedule:
+    """One stream's recovery episodes, resolved in schedule order: the
+    committed and re-executed iterations partition the offloaded ones."""
 
+    #: Uncommitted credit chunks each episode ends with (int64).
+    depths: np.ndarray
+    #: The :func:`run_recovery` outcome of each distinct depth.
+    outcomes: Dict[int, RecoveryResult]
+    offloaded_iterations: float
     committed_iterations: float
     reexecuted_iterations: float
+    #: ``base_cycles`` plus every episode's round trip and re-execution.
+    cycles: float
 
     @property
-    def total(self) -> float:
-        return self.committed_iterations + self.reexecuted_iterations
+    def episodes(self) -> int:
+        return len(self.depths)
+
+
+def resolve_recovery_schedule(params: ProtocolParams,
+                              total_iterations: float,
+                              depths: Sequence[int],
+                              core_width: float = 1.0,
+                              base_cycles: float = 0.0
+                              ) -> RecoverySchedule:
+    """Resolve a whole recovery schedule in one array pass.
+
+    Episode ``i`` ends ``depths[i]`` uncommitted credit chunks: it costs
+    :func:`run_recovery`'s round trip plus re-executing what it discards
+    in-core (:data:`REEXECUTE_UOPS_PER_ITERATION` uops per iteration at
+    ``core_width``).  A discard never exceeds what is still uncommitted,
+    so once the iteration space is exhausted later episodes discard
+    nothing.
+
+    The result equals a per-episode loop bit for bit: an episode's
+    outcome depends only on its depth (at most ``max_credit_chunks``), so
+    :func:`run_recovery` runs once per distinct depth and episodes look
+    their outcome up by depth; the uncommitted remainder before each
+    episode is ``total - (integer prefix sum of earlier windows)``, exact
+    below 2**53; and cycles accumulate left to right from ``base_cycles``
+    (``np.add.accumulate``, not the pairwise ``np.sum``).
+    """
+    if total_iterations < 0:
+        raise ValueError("need non-negative iterations")
+    depths = np.asarray(depths, dtype=np.int64)
+    if depths.size and not (0 <= int(depths.min()) and int(depths.max())
+                            <= params.max_credit_chunks):
+        raise ValueError("episode depths must lie in "
+                         "[0, max_credit_chunks]")
+    total = float(total_iterations)
+    present = np.flatnonzero(np.bincount(depths))
+    outcomes = {depth: run_recovery(params, uncommitted_chunks=depth)
+                for depth in present.tolist()}
+    round_trip_of = np.zeros(params.max_credit_chunks + 1)
+    window_of = np.zeros(params.max_credit_chunks + 1, dtype=np.int64)
+    round_trip_of[present] = [o.cycles for o in outcomes.values()]
+    window_of[present] = [o.discarded_iterations for o in outcomes.values()]
+    round_trip = round_trip_of[depths]
+    window = window_of[depths]
+    ended_before = np.cumsum(window) - window
+    discarded = np.minimum(window, np.maximum(total - ended_before, 0.0))
+    committed = max(total - float(window.sum()), 0.0)
+    per_episode = round_trip + discarded * REEXECUTE_UOPS_PER_ITERATION \
+        / core_width
+    cycles = np.add.accumulate(
+        np.concatenate(([float(base_cycles)], per_episode)))[-1]
+    return RecoverySchedule(
+        depths=depths, outcomes=outcomes,
+        offloaded_iterations=total_iterations,
+        committed_iterations=committed,
+        reexecuted_iterations=total - committed, cycles=float(cycles))
+
+
+def emit_recovery_schedule(schedule: RecoverySchedule, tracer: Tracer,
+                           stream: str, sites: Sequence[str]) -> None:
+    """Trace one stream's schedule on a recovery track of its own.
+
+    One FAULT_FIRE + RECOVERY_BEGIN/END triple per episode, indexed by
+    episode number (a fault schedule has no global clock; ``sites``
+    names the fault that opened each episode), then a closing partition
+    record the sanitizer verifies.
+    """
+    track = tracer.begin_stream(
+        stream, track_kind=TRACK_RECOVERY,
+        offloaded_iterations=schedule.offloaded_iterations)
+    for episode, (site, depth) in enumerate(zip(sites,
+                                                schedule.depths.tolist())):
+        time = float(episode)
+        outcome = schedule.outcomes[depth]
+        tracer.emit(EventKind.FAULT_FIRE, time, track, stream,
+                    site=site, depth=depth)
+        tracer.emit(EventKind.RECOVERY_BEGIN, time, track, stream,
+                    message=MessageType.STREAM_END, mcount=1.0,
+                    uncommitted_chunks=depth)
+        tracer.emit(EventKind.RECOVERY_END, time + outcome.cycles, track,
+                    stream, message=MessageType.STREAM_DONE, mcount=1.0,
+                    cycles=outcome.cycles,
+                    discarded_iterations=outcome.discarded_iterations)
+    tracer.end_stream(
+        track, float(schedule.episodes), stream,
+        offloaded_iterations=schedule.offloaded_iterations,
+        committed_iterations=schedule.committed_iterations,
+        reexecuted_iterations=schedule.reexecuted_iterations,
+        recovery_cycles=schedule.cycles)

@@ -28,8 +28,9 @@ from repro.fault.plan import FaultPlan, FaultSite, FaultStats
 from repro.isa.pattern import AddressPatternKind, ComputeKind
 from repro.isa.stream import Stream
 from repro.llc.indirect import atomic_window, indirect_reduction_messages
-from repro.llc.rangesync import ProtocolParams, run_protocol_batch, \
-    run_recovery
+from repro.llc.rangesync import (ProtocolParams, emit_recovery_schedule,
+                                 resolve_recovery_schedule,
+                                 run_protocol_batch)
 from repro.llc.se_l3 import SEL3Model
 from repro.mem.tlb import page_walk_cycles
 from repro.mem.address import AddressSpace, LINE_SHIFT
@@ -42,7 +43,6 @@ from repro.noc.topology import Mesh
 from repro.offload.modes import ExecMode
 from repro.sim.placement import Placement, StreamPlan, plan_streams
 from repro.sim.profiler import Profiler
-from repro.trace.events import TRACK_RECOVERY, UNTRACKED, EventKind
 from repro.trace.tracer import Tracer
 from repro.sim.tracestats import (
     StreamStats,
@@ -103,21 +103,17 @@ class PhaseEngine:
                  mesh: Mesh, flow: FlowModel, shared_l3: SharedL3Model,
                  hierarchies: List[HierarchyModel],
                  sample_cores: int = 4,
-                 recovery_rate: float = 0.0,
                  profiler: Optional[Profiler] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
                  stats: Optional[Dict[str, StreamStats]] = None,
                  protocol_engine: Optional[str] = None) -> None:
-        """``recovery_rate``: precise-state restorations (alias false
-        positives, context switches, faults — Fig 7 b/c) per million
-        offloaded iterations. Each costs an end/writeback/done episode
-        plus re-execution of the discarded uncommitted window.
-
-        ``fault_plan`` injects discrete faults at the real protocol sites
-        (SE_L3 TLB aborts, alias false positives, MRSW conflicts, SCC
-        evictions) with a seeded RNG; ``recovery_rate`` then shows up as
-        the *derived* statistic in the phase's :class:`FaultStats`.
+        """``fault_plan`` injects discrete faults at the real protocol
+        sites (SE_L3 TLB aborts, alias false positives, MRSW conflicts,
+        SCC evictions — Fig 7 b/c) with a seeded RNG. Each recovery costs
+        an end/writeback/done episode plus re-execution of the discarded
+        uncommitted window; the realized recovery rate is the *derived*
+        statistic in the phase's :class:`FaultStats`.
 
         ``stats`` supplies precomputed per-stream :class:`StreamStats`
         (the replay path shares one computation across modes); stats are
@@ -137,7 +133,6 @@ class PhaseEngine:
         self.hierarchies = hierarchies
         self.n_cores = config.num_cores
         self.sample_cores = min(sample_cores, self.n_cores, len(hierarchies))
-        self.recovery_rate = recovery_rate
         self.hmat = hops_matrix(mesh)
         self.pipeline = PipelineModel(config.core)
         self.tracer = tracer
@@ -165,6 +160,7 @@ class PhaseEngine:
                            and not fault_plan.is_null() else None)
         self._lock_fault_stats = FaultStats()
         self._recovery_fault_stats = FaultStats()
+        self._fault_draws: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -801,8 +797,7 @@ class PhaseEngine:
         stream count), all concurrent episodes of the phase advance in a
         single structure-of-arrays pass. ``protocol_for`` then serves
         results from the cache, with a lazy single-episode fallback for
-        the callers that reach streams this pass skips (e.g. the legacy
-        recovery knob, which does not filter empty streams).
+        a caller that reaches a stream this pass skipped.
         """
         entries = []
         for stream in self.program.graph:
@@ -1122,23 +1117,6 @@ class PhaseEngine:
     # (non-uniform) traffic; mesh saturation studies put this near 0.5-0.6.
     NOC_EFFICIENCY = 0.55
 
-    def _recovery_overhead(self) -> float:
-        """Cost of precise-state restorations (Fig 7 b/c).
-
-        Two sources: the legacy uniform ``recovery_rate`` knob, and
-        discrete episodes injected by the :class:`FaultPlan` at real
-        protocol sites.  Under sync-free there is no per-iteration precise
-        point, but coarse-grain recovery is still possible (§V) at the
-        same episode cost. Each episode ends the offloaded streams, waits
-        for committed writebacks, discards the uncommitted window, and
-        re-runs it in-core (modeled at one uop-pair per discarded
-        iteration).
-        """
-        cycles = self._legacy_recovery_overhead()
-        if self.fault_plan is not None:
-            cycles += self._injected_fault_overhead()
-        return cycles
-
     def _recovery_params(self, stream: Stream, stats: StreamStats
                          ) -> ProtocolParams:
         """Protocol parameters of one stream's end-and-restore episode."""
@@ -1151,58 +1129,64 @@ class PhaseEngine:
                 MessageType.STREAM_DONE, stats.mean_hops_core_bank),
             max_credit_chunks=self._credit_chunks(stream, stats, 1.0))
 
-    def _legacy_recovery_overhead(self) -> float:
-        """The uniform ``recovery_rate`` input knob (pre-fault-plan path)."""
-        if self.recovery_rate <= 0:
-            return 0.0
-        offloaded_iters = 0.0
-        params = None
-        for stream in self.program.graph:
-            plan = self.plans[stream.sid]
-            stats = self._stream_stats(stream)
-            if stats is None or not plan.placement.at_llc:
-                continue
-            offloaded_iters += stats.elements * self.up / self.n_cores
-            if params is None:
-                entry = self.protocol_for(stream, stats)
-                if entry is not None:
-                    result, _ = entry
-            if params is None:
-                params = self._recovery_params(stream, stats)
-        if params is None or offloaded_iters == 0:
-            return 0.0
-        episodes = offloaded_iters * self.recovery_rate / 1e6
-        # Untracked recovery events: the uniform-rate knob has no fault
-        # schedule, so the sanitizer has nothing to pair them with.
-        recovery = run_recovery(params, tracer=self.tracer)
-        reexecute = recovery.discarded_iterations * 2.0 \
-            / self.pipeline.effective_width
-        per_episode = recovery.cycles + reexecute
-        self._inject_mean(MessageType.STREAM_END, episodes,
-                          self.mesh.average_hops())
-        self._inject_mean(MessageType.STREAM_DONE, episodes,
-                          self.mesh.average_hops())
-        return episodes * per_episode
+    def _draw_faults(self, stream: Stream, stats: StreamStats,
+                     iters: float, params: ProtocolParams
+                     ) -> Tuple[List[Tuple[FaultSite, int]],
+                                Optional[np.ndarray]]:
+        """One stream's recovery episodes: the ``(site, count)`` runs that
+        fired and each episode's uncommitted depth, in site order (alias,
+        then TLB, then SCC).
 
-    def _injected_fault_overhead(self) -> float:
-        """Discrete fault episodes drawn from the seeded plan.
-
-        Per offloaded stream: alias false positives fire per offloaded
-        iteration, SE_L3 TLB aborts per page the range unit touches, SCC
-        evictions per compute instance on an SCC. Each episode lands at a
-        drawn chunk index with a drawn uncommitted depth — the discarded
-        window can never exceed the chunks actually in flight at that
-        point — and costs the end/writeback/done round trip plus in-core
-        re-execution; TLB aborts add a page walk and a context teardown,
-        SCC evictions add the context-restore refill.
-
-        Draws are keyed by (site, phase, stream), so the schedule is a
-        pure function of the plan's seed; stats are recomputed (not
-        accumulated) because timing runs twice per phase.
+        Alias false positives fire per offloaded iteration, SE_L3 TLB
+        aborts per page the range unit touches, SCC evictions per compute
+        instance on an SCC.  Each episode lands at a drawn chunk index
+        with a drawn uncommitted depth — the discarded window can never
+        exceed the chunks actually in flight at that point.  Draws are
+        keyed by (site, phase, stream), and nothing they read changes
+        between the two timing passes, so both passes share them.
         """
+        drawn = self._fault_draws.get(stream.sid)
+        if drawn is not None:
+            return drawn
         plan = self.fault_plan
+        key = (self.phase.kernel.name, stream.name)
+        n_chunks = max(int(iters // params.chunk_iters), 1)
+        on_scc = (stream.function is not None
+                  and not self.scm.runs_on_scalar_pe(stream.function))
+        runs, depths = [], []
+        for site, opportunities in ((FaultSite.ALIAS, iters),
+                                    (FaultSite.TLB_MISS, stats.pages_touched),
+                                    (FaultSite.SCC_EVICT,
+                                     iters if on_scc else 0)):
+            n = plan.draw_events(site, opportunities, *key)
+            if n <= 0:
+                continue
+            chunk_at = plan.draw_chunk_indices(site, n, n_chunks, *key)
+            depth = plan.draw_uncommitted_depths(
+                site, n, params.max_credit_chunks, *key)
+            # At chunk c at most c+1 chunks have ever been credited.
+            depths.append(np.minimum(depth, chunk_at + 1))
+            runs.append((site, n))
+        drawn = self._fault_draws[stream.sid] = (
+            runs, np.concatenate(depths) if depths else None)
+        return drawn
+
+    def _recovery_overhead(self) -> float:
+        """Cost of precise-state restorations (Fig 7 b/c) for the fault
+        episodes :meth:`_draw_faults` drew.
+
+        Each episode costs the end/writeback/done round trip plus in-core
+        re-execution (:func:`~repro.llc.rangesync.resolve_recovery_schedule`
+        resolves a stream's episodes in one array pass); TLB aborts add a
+        page walk and a context teardown, SCC evictions the
+        context-restore refill.  Under sync-free there is no per-iteration
+        precise point, but coarse-grain recovery is still possible (§V)
+        at the same episode cost.  Stats are recomputed (not accumulated)
+        because timing runs twice per phase.
+        """
+        if self.fault_plan is None:
+            return 0.0
         fs = FaultStats()
-        phase_key = self.phase.kernel.name
         total_cycles = 0.0
         for stream in self.program.graph:
             splan = self.plans[stream.sid]
@@ -1214,88 +1198,37 @@ class PhaseEngine:
                 continue
             fs.offloaded_iterations += iters
             params = self._recovery_params(stream, stats)
-            n_chunks = max(int(iters // params.chunk_iters), 1)
-            on_scc = (stream.function is not None
-                      and not self.scm.runs_on_scalar_pe(stream.function))
-            draws = (
-                (FaultSite.ALIAS, plan.draw_events(
-                    FaultSite.ALIAS, iters, phase_key, stream.name)),
-                (FaultSite.TLB_MISS, plan.draw_events(
-                    FaultSite.TLB_MISS, stats.pages_touched, phase_key,
-                    stream.name)),
-                (FaultSite.SCC_EVICT, plan.draw_events(
-                    FaultSite.SCC_EVICT, iters, phase_key, stream.name)
-                 if on_scc else 0),
-            )
-            depths = []
-            episode_sites = []
+            runs, depths = self._draw_faults(stream, stats, iters, params)
+            if not runs:
+                fs.committed_iterations += iters
+                continue
             site_extra = 0.0
-            for site, n in draws:
-                if n <= 0:
-                    continue
+            for site, n in runs:
                 fs.record(site, n)
-                chunk_at = plan.draw_chunk_indices(
-                    site, n, n_chunks, phase_key, stream.name)
-                drawn = plan.draw_uncommitted_depths(
-                    site, n, params.max_credit_chunks, phase_key,
-                    stream.name)
-                # At chunk c at most c+1 chunks have ever been credited.
-                depths.extend(int(min(d, c + 1))
-                              for d, c in zip(drawn, chunk_at))
-                episode_sites.extend([site] * n)
                 if site is FaultSite.TLB_MISS:
                     site_extra += page_walk_cycles(n) \
                         + self.sel3.context_abort_cost(
                             stats.element_bytes) * n
                 elif site is FaultSite.SCC_EVICT:
                     site_extra += self.scm.context_restore_cost() * n
-            if not depths:
-                fs.committed_iterations += iters
-                continue
-            # Each faulted stream gets its own recovery track: one
-            # FAULT_FIRE + RECOVERY_BEGIN/END triple per episode, indexed
-            # by episode number (the schedule has no global clock), and a
-            # closing partition record the sanitizer verifies.
-            tracer = self.tracer
-            track = UNTRACKED
-            label = f"{phase_key}/{stream.name}"
-            if tracer is not None:
-                track = tracer.begin_stream(
-                    label, track_kind=TRACK_RECOVERY,
-                    offloaded_iterations=iters)
-            remaining = iters
-            stream_cycles = site_extra
-            for episode, depth in enumerate(depths):
-                if tracer is not None:
-                    tracer.emit(EventKind.FAULT_FIRE, float(episode),
-                                track, label,
-                                site=episode_sites[episode].name,
-                                depth=depth)
-                recovery = run_recovery(params, uncommitted_chunks=depth,
-                                        tracer=tracer, track=track,
-                                        stream=label,
-                                        time=float(episode))
-                discarded = min(float(recovery.discarded_iterations),
-                                remaining)
-                remaining -= discarded
-                stream_cycles += recovery.cycles \
-                    + discarded * 2.0 / self.pipeline.effective_width
-            if tracer is not None:
-                tracer.end_stream(
-                    track, float(len(depths)), label,
-                    offloaded_iterations=iters,
-                    committed_iterations=remaining,
-                    reexecuted_iterations=iters - remaining,
-                    recovery_cycles=stream_cycles)
-            fs.recovery_episodes += len(depths)
-            fs.committed_iterations += remaining
-            fs.reexecuted_iterations += iters - remaining
-            fs.recovery_cycles += stream_cycles
-            self._inject_mean(MessageType.STREAM_END, len(depths),
+            schedule = resolve_recovery_schedule(
+                params, iters, depths,
+                core_width=self.pipeline.effective_width,
+                base_cycles=site_extra)
+            if self.tracer is not None:
+                emit_recovery_schedule(
+                    schedule, self.tracer,
+                    f"{self.phase.kernel.name}/{stream.name}",
+                    [site.name for site, n in runs for _ in range(n)])
+            fs.recovery_episodes += schedule.episodes
+            fs.committed_iterations += schedule.committed_iterations
+            fs.reexecuted_iterations += schedule.reexecuted_iterations
+            fs.recovery_cycles += schedule.cycles
+            self._inject_mean(MessageType.STREAM_END, schedule.episodes,
                               self.mesh.average_hops())
-            self._inject_mean(MessageType.STREAM_DONE, len(depths),
+            self._inject_mean(MessageType.STREAM_DONE, schedule.episodes,
                               self.mesh.average_hops())
-            total_cycles += stream_cycles
+            total_cycles += schedule.cycles
         self._recovery_fault_stats = fs
         return total_cycles
 

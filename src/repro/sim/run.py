@@ -41,7 +41,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                  seed: int = 42,
                  sample_cores: int = 4,
                  space: Optional[AddressSpace] = None,
-                 recovery_rate: float = 0.0,
                  use_build_cache: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
@@ -77,13 +76,11 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
       bit-identical to recomputing; disable with
       ``$REPRO_NO_STATS_CACHE``.
 
-    ``recovery_rate`` injects precise-state restoration episodes (alias
-    false positives / context switches / faults, Fig 7 b-c) per million
-    offloaded iterations.
-
-    ``fault_plan`` instead injects seeded, discrete faults at the real
-    protocol sites (:mod:`repro.fault`); the run's realized recovery rate
-    and episode accounting come back in ``SimResult.faults``.  Faults are
+    ``fault_plan`` injects seeded, discrete faults at the real protocol
+    sites (:mod:`repro.fault`): alias false positives, SE_L3 TLB aborts
+    and SCC evictions each end in a precise-state recovery episode (Fig 7
+    b-c).  The run's realized recovery rate and episode accounting come
+    back in ``SimResult.faults``.  Faults are
     semantically invariant: functional results and final memory state are
     bit-identical to the fault-free run — only cycles, traffic, and
     recovery statistics change, and identically so for identical seeds.
@@ -213,7 +210,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                                  machine.mesh, flow, machine.shared_l3,
                                  machine.hierarchies,
                                  sample_cores=sample_cores,
-                                 recovery_rate=recovery_rate,
                                  profiler=profiler, fault_plan=fault_plan,
                                  tracer=tracer, stats=stats,
                                  protocol_engine=protocol_engine)

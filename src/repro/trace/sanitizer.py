@@ -83,6 +83,20 @@ class ProtocolSanitizer:
         self.tracks: Dict[int, _TrackState] = {}
         self.checks = 0
         self.violations: List[ProtocolViolation] = []
+        # Built once: rebuilding it per event hashes every key each time.
+        self._handlers = {
+            EventKind.CREDIT_ISSUE: self._on_credit,
+            EventKind.CHUNK_SERVICE: self._on_service,
+            EventKind.RANGE_REPORT: self._on_range,
+            EventKind.ALIAS_CHECK: self._on_alias,
+            EventKind.COMMIT: self._on_commit,
+            EventKind.IND_ISSUE: self._on_indirect,
+            EventKind.DONE: self._on_done,
+            EventKind.STREAM_END: self._on_end,
+            EventKind.FAULT_FIRE: self._on_fault,
+            EventKind.RECOVERY_BEGIN: self._on_recovery_begin,
+            EventKind.RECOVERY_END: self._on_recovery_end,
+        }
 
     # ------------------------------------------------------------------
     def _fail(self, state: Optional[_TrackState], invariant: str,
@@ -113,27 +127,15 @@ class ProtocolSanitizer:
             return
         state = self.tracks.get(event.track)
         if state is None:
-            # Free-standing events (unit-level emission, legacy recovery
-            # episodes) carry no track state to validate against.
+            # Free-standing events (unit-level emission, context
+            # aborts/restores) carry no track state to validate against.
             return
         state.window.append(event)
         if state.closed:
             self._fail(state, "end-is-final",
                        f"{event.kind.value} after STREAM_END", event)
         self._count_messages(state, event)
-        handler = {
-            EventKind.CREDIT_ISSUE: self._on_credit,
-            EventKind.CHUNK_SERVICE: self._on_service,
-            EventKind.RANGE_REPORT: self._on_range,
-            EventKind.ALIAS_CHECK: self._on_alias,
-            EventKind.COMMIT: self._on_commit,
-            EventKind.IND_ISSUE: self._on_indirect,
-            EventKind.DONE: self._on_done,
-            EventKind.STREAM_END: self._on_end,
-            EventKind.FAULT_FIRE: self._on_fault,
-            EventKind.RECOVERY_BEGIN: self._on_recovery_begin,
-            EventKind.RECOVERY_END: self._on_recovery_end,
-        }.get(event.kind)
+        handler = self._handlers.get(event.kind)
         if handler is not None:
             handler(state, event)
 

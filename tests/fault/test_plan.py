@@ -13,6 +13,17 @@ def test_rates_must_be_non_negative():
         FaultPlan(tlb_miss_rate=-0.5)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                  float("-inf")])
+def test_rates_must_be_finite(rate):
+    for field in ("alias_rate", "tlb_miss_rate", "lock_conflict_rate",
+                  "scc_evict_rate"):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(**{field: rate})
+    with pytest.raises(ValueError, match="finite"):
+        FaultPlan.uniform(rate)
+
+
 def test_uniform_and_null():
     assert FaultPlan().is_null()
     plan = FaultPlan.uniform(50.0, seed=7)

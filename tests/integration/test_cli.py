@@ -79,6 +79,17 @@ def test_bad_flag_exits_nonzero_without_traceback(capsys):
         assert "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rate", ["-5", "nan", "inf"])
+def test_faults_bad_rate_is_one_line_exit_2(rate, capsys):
+    """A malformed rate is a usage error, reported before any run."""
+    assert main(["faults", "memset", "--rates", "0", rate, *SMALL]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "--rates" in err and "finite and non-negative" in err
+
+
 def test_trace_command(tmp_path, capsys):
     import json
     out = tmp_path / "trace.json"

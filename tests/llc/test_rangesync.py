@@ -92,7 +92,7 @@ def test_parameter_validation():
 def test_recovery_episode():
     """Fig 7(b/c): end + writeback + done restores precise state."""
     p = params()
-    recovery = run_recovery(p)
+    recovery = run_recovery(p, uncommitted_chunks=p.max_credit_chunks)
     assert recovery.messages[MessageType.STREAM_END] == 1
     assert recovery.messages[MessageType.STREAM_DONE] == 1
     assert recovery.cycles == pytest.approx(

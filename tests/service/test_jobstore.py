@@ -232,7 +232,7 @@ def test_point_spec_roundtrip_presets():
     for builder in (SystemConfig.ooo8, SystemConfig.io4,
                     SystemConfig.ooo4):
         point = SweepPoint("srad", ExecMode.NS, builder(), scale=SCALE,
-                           seed=7, sample_cores=2, recovery_rate=0.5)
+                           seed=7, sample_cores=2)
         spec = point_to_spec(point)
         assert point_from_spec(spec) == point
         assert point_from_spec(spec).key() == point.key()
@@ -269,6 +269,20 @@ def test_point_spec_defaults():
 def test_malformed_specs_raise_value_error(spec, match):
     with pytest.raises(ValueError, match=match):
         point_from_spec(spec)
+
+
+def test_recovery_rate_spec_rejected_with_pointer_to_fault_plan():
+    """The removed knob errors instead of being dropped silently."""
+    for rate in (0.5, 1000, float("nan"), "10"):
+        with pytest.raises(ValueError, match="FaultPlan"):
+            point_from_spec({"workload": "histogram",
+                             "recovery_rate": rate})
+    # a zero rate meant "no recoveries" and still does
+    assert point_from_spec({"workload": "histogram",
+                            "recovery_rate": 0.0}) == \
+        point_from_spec({"workload": "histogram"})
+    assert "recovery_rate" not in point_to_spec(
+        point_from_spec({"workload": "histogram"}))
 
 
 def test_fault_plans_cannot_ride_the_wire():

@@ -22,6 +22,7 @@ from repro.config import SystemConfig
 from repro.eval import result_cache
 from repro.eval.result_cache import ResultCache, config_fingerprint
 from repro.eval.sweep import SweepPoint, _group_key, run_sweep
+from repro.fault.plan import FaultPlan
 from repro.mem.address import AddressSpace
 from repro.offload.modes import ExecMode
 from repro.sim.replay import FunctionalTrace, record_trace
@@ -213,7 +214,7 @@ def test_no_replay_env_disables_fast_path(cache_dir, monkeypatch):
 
 
 def test_sweep_groups_by_functional_key():
-    """Modes, sample_cores, recovery, and fault plans share one group."""
+    """Modes, sample_cores, and fault plans share one group."""
     config = SystemConfig.ooo8()
     points = [
         SweepPoint("bfs_push", ExecMode.NS, config, scale=SCALE),
@@ -221,7 +222,7 @@ def test_sweep_groups_by_functional_key():
         SweepPoint("bfs_push", ExecMode.NS, config, scale=SCALE,
                    sample_cores=2),
         SweepPoint("bfs_push", ExecMode.NS, config, scale=SCALE,
-                   recovery_rate=10.0),
+                   fault_plan=FaultPlan.uniform(10.0)),
     ]
     keys = {_group_key(p) for p in points}
     assert len(keys) == 1

@@ -55,6 +55,23 @@ def test_injected_faults_all_produce_recovered_traces():
     assert metrics.histograms["recovery.cycles"]["count"] == fault_count
 
 
+@pytest.mark.parametrize("workload", all_workload_names())
+def test_faulted_traced_run_matches_untraced(workload, monkeypatch):
+    """Tracing a faulted run emits every episode's events but must not
+    move its arithmetic: both resolve the same recovery schedules."""
+    plan = FaultPlan.uniform(100.0, seed=1)
+    tracer = Tracer(strict=True, keep_events=False)
+    traced = run_workload(workload, scale=SCALE, fault_plan=plan,
+                          tracer=tracer)
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    untraced = run_workload(workload, scale=SCALE, fault_plan=plan)
+    assert untraced.trace is None and tracer.ok
+    assert traced.to_dict() == untraced.to_dict()
+    episodes = traced.faults.recovery_episodes
+    # timing runs twice per phase, and each pass traces its schedules
+    assert traced.trace.counter("events.fault_fire") == 2 * episodes
+
+
 def test_trace_rides_outside_equality_and_serialization(monkeypatch):
     traced = run_workload("histogram", scale=SCALE,
                           tracer=Tracer(strict=True))

@@ -52,18 +52,21 @@ def test_credit_occupancy_becomes_counter_series():
 
 
 def test_recovery_episode_becomes_span():
-    from repro.llc.rangesync import run_recovery
+    from repro.llc.rangesync import (emit_recovery_schedule,
+                                     resolve_recovery_schedule)
     from repro.trace.events import TRACK_RECOVERY
 
     tracer = Tracer(keep_events=True, sanitize=False)
-    track = tracer.begin_stream("rec", track_kind=TRACK_RECOVERY)
-    run_recovery(ProtocolParams(), uncommitted_chunks=2, tracer=tracer,
-                 track=track, stream="rec", time=5.0)
+    schedule = resolve_recovery_schedule(ProtocolParams(), 1e6, [1, 2])
+    emit_recovery_schedule(schedule, tracer, "rec", ["ALIAS", "TLB_MISS"])
+    assert tracer.events[0].args["track_kind"] == TRACK_RECOVERY
     records = chrome_trace_events(tracer.events)
     spans = [r for r in records if r["ph"] == "X"]
-    assert len(spans) == 1
-    assert spans[0]["name"] == "recovery"
-    assert spans[0]["ts"] == 5.0 and spans[0]["dur"] > 0
+    assert len(spans) == 2
+    assert all(span["name"] == "recovery" for span in spans)
+    # episodes sit at their schedule index on the recovery track
+    assert [span["ts"] for span in spans] == [0.0, 1.0]
+    assert all(span["dur"] > 0 for span in spans)
 
 
 def test_all_records_are_json_serializable():
