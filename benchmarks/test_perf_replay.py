@@ -1,7 +1,7 @@
 """Trace-replay fast path: cold (build + record) vs warm (replay) runs.
 
 Times three variants of the same (workload, mode, config, scale, seed)
-run — live with caches off, cold (records the functional trace into a
+run — live with replay off, cold (records the functional trace into a
 fresh cache), and warm (replays it) — for ``bfs_push`` and ``hash_join``,
 the two workloads whose functional pass (Kronecker generation / hash
 build) dominates their cold run time.  Records ``kind: "replay"``
@@ -39,7 +39,7 @@ def test_replay_vs_cold(workload, fresh_cache, bench_log):
 
     t0 = time.perf_counter()
     live = run_workload(workload, ExecMode.NS, config=config, scale=SCALE,
-                        use_build_cache=False)
+                        use_replay=False)
     t_live = time.perf_counter() - t0
 
     t0 = time.perf_counter()

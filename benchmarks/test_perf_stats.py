@@ -1,15 +1,16 @@
-"""Persistent derived-geometry (stats) bundle: warm-path speedups.
+"""Stream geometry stored with the functional trace: warm-path speedups.
 
-Times the warm replay path with and without the stats bundle — the
-bundle removes per-run stream-geometry recomputation (vectorized
-translation, bank/hop reductions, lock-contention analysis), which
-dominated warm runs on big meshes.  Records ``kind: "stats"`` rows to
+Times the warm replay path with and without the stored geometry — it
+removes per-run stream-geometry recomputation (vectorized translation,
+bank/hop reductions, lock-contention analysis), which dominated warm
+runs on big meshes.  Records ``kind: "stats"`` rows to
 ``$REPRO_BENCH_LOG`` (BENCH_PR8.json) so the perf trajectory tracks the
 warm path across PRs, and asserts the PR's acceptance bars: warm big-mesh
 runs spend <15% of their wall in ``phase.stats``, and steady-state
 replay throughput is at least twice the BENCH_PR6 baseline.
 """
 
+import dataclasses
 import os
 import time
 
@@ -19,6 +20,7 @@ from repro.config import SystemConfig
 from repro.eval import result_cache
 from repro.offload.modes import ExecMode
 from repro.sim.run import run_workload
+from repro.workloads.build_cache import trace_key
 
 #: BENCH_PR6.json replay_throughput: bfs_push/ns warm replays at scale
 #: 1/64, before the stats bundle existed.
@@ -38,6 +40,15 @@ def fresh_cache(tmp_path, monkeypatch):
     result_cache._default_cache = old
 
 
+def _without_stats(workload, config, scale):
+    """Run ``workload`` from its stored trace with the geometry stripped,
+    so the run recomputes it (the path before geometry was stored)."""
+    trace = result_cache.get_default_cache().lookup(
+        trace_key(workload, scale, 42, config))
+    return run_workload(dataclasses.replace(trace, stats=None),
+                        ExecMode.NS, config=config, scale=scale)
+
+
 def _timed(n, func):
     """Best-of-n wall time plus the last result (steady-state timing)."""
     best, result = float("inf"), None
@@ -48,7 +59,7 @@ def _timed(n, func):
     return best, result
 
 
-def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
+def test_warm_mesh32_stats_share(fresh_cache, bench_log):
     """bfs_push on the 32x32 mesh: cold vs warm, and the warm profile's
     phase.stats share — the geometry work must be a minor line item."""
     config = SystemConfig.paper_mesh(32)
@@ -57,17 +68,15 @@ def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
     cold = run_workload("bfs_push", ExecMode.NS, config=config,
                         scale=MESH32_SCALE)
     t_cold = time.perf_counter() - t0
-    assert "run.record_stats" in cold.profile
+    assert "run.store" in cold.profile
 
     t_warm, warm = _timed(3, lambda: run_workload(
         "bfs_push", ExecMode.NS, config=config, scale=MESH32_SCALE))
     assert warm.to_dict() == cold.to_dict()
-    assert "run.record_stats" not in warm.profile
+    assert "run.store" not in warm.profile
 
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-    t_nostats, nostats = _timed(3, lambda: run_workload(
-        "bfs_push", ExecMode.NS, config=config, scale=MESH32_SCALE))
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
+    t_nostats, nostats = _timed(3, lambda: _without_stats(
+        "bfs_push", config, MESH32_SCALE))
     assert nostats.to_dict() == cold.to_dict()
 
     measured = sum(t.seconds for t in warm.profile.values())
@@ -85,14 +94,13 @@ def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
           f"phase.stats {stats_share:.1%} of measured warm time")
     assert stats_share < 0.15, (
         f"phase.stats is {stats_share:.1%} of the warm run (bar: <15%); "
-        f"the bundle is not being reused")
-    # Lax floor (timings vary by host): the bundle must never slow the
+        f"the stored geometry is not being reused")
+    # Lax floor (timings vary by host): stored geometry must never slow the
     # warm path down.  The headline numbers live in BENCH_PR8.json.
     assert t_warm <= t_nostats
 
 
-def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log,
-                                          monkeypatch):
+def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log):
     """Steady-state warm replay rate (the sweep unit) vs BENCH_PR6."""
     config = SystemConfig.ooo8()
     scale = 1.0 / 64.0  # BENCH_PR6's replay_throughput operating point
@@ -109,11 +117,10 @@ def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log,
         result = run()
     per_run = (time.perf_counter() - t0) / n
     assert "run.replay" in result.profile
-    assert "run.record_stats" not in result.profile
+    assert "run.store" not in result.profile
 
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-    t_nostats, _ = _timed(3, run)
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
+    t_nostats, _ = _timed(3, lambda: _without_stats("bfs_push", config,
+                                                    scale))
 
     points_per_sec = 1.0 / per_run
     speedup = points_per_sec / PR6_POINTS_PER_SEC

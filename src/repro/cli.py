@@ -444,29 +444,27 @@ def _profile_compare(args, mode, config) -> int:
 
     baseline = "reference" if args.compare == "ref" else "batched"
     other = "batched" if baseline == "reference" else "reference"
-    # Load the functional trace (and its derived-geometry bundle) once
-    # and hand the same object to both engines: the comparison then
-    # measures the engines, not redundant geometry work — the in-process
-    # stats memo is shared across the two runs.
+    # Load (or record) the functional trace once and hand the same
+    # object to both engines: the comparison then measures the engines,
+    # not functional or geometry work — the in-process stats memo is
+    # shared across the two runs.
     source = args.workload
-    if not (args.no_replay or args.no_build_cache):
-        from repro.workloads.build_cache import load_stats_cached, \
-            load_trace_cached
-        loaded = load_trace_cached(args.workload, args.scale, args.seed,
-                                   config)
-        if loaded is not None:
-            loaded.adopt_stats(load_stats_cached(
-                args.workload, args.scale, args.seed, config))
-            source = loaded
+    cache = None
+    if not args.no_replay:
+        from repro.workloads.build_cache import load_or_record, save_trace
+        cache = get_default_cache()
+        source = load_or_record(args.workload, args.scale, args.seed,
+                                config, cache)
     runs = {}
     for engine in (baseline, other):
         t0 = _time.perf_counter()
         result = run_workload(source, mode, config=config,
                               scale=args.scale, seed=args.seed,
-                              use_build_cache=not args.no_build_cache,
                               use_replay=not args.no_replay,
                               protocol_engine=engine)
         runs[engine] = (result, _time.perf_counter() - t0)
+    if cache is not None:
+        save_trace(source, cache)
     if runs[baseline][0].to_dict() != runs[other][0].to_dict():
         print(f"ENGINES DISAGREE on {args.workload}: {baseline} and "
               f"{other} produced different results", file=sys.stderr)
@@ -520,7 +518,6 @@ def cmd_profile(args) -> int:
     t0 = _time.perf_counter()
     result = run_workload(args.workload, mode, config=config,
                           scale=args.scale, seed=args.seed,
-                          use_build_cache=not args.no_build_cache,
                           use_replay=not args.no_replay)
     wall = _time.perf_counter() - t0
     print(result.summary())
@@ -962,8 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="per-stage simulator wall-time breakdown")
     prof_p.add_argument("workload")
     prof_p.add_argument("--mode", choices=sorted(MODES), default="ns")
-    prof_p.add_argument("--no-build-cache", action="store_true",
-                        help="measure a cold build instead of a cached one")
     prof_p.add_argument("--no-replay", action="store_true",
                         help="disable the functional-trace replay fast "
                              "path (measure the live functional pass)")

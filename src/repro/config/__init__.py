@@ -11,6 +11,7 @@ Every field defaults to the value in Table V of the paper.
 """
 
 from repro.config.system import (
+    AddressLayout,
     CacheConfig,
     CoreConfig,
     CoreType,
@@ -22,6 +23,7 @@ from repro.config.system import (
 )
 
 __all__ = [
+    "AddressLayout",
     "CacheConfig",
     "CoreConfig",
     "CoreType",

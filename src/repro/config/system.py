@@ -205,6 +205,24 @@ class SEConfig:
 
 
 @dataclass(frozen=True)
+class AddressLayout:
+    """The projection of :class:`SystemConfig` that fixes addresses.
+
+    :class:`~repro.mem.address.AddressSpace` reads the tile count (the
+    NUCA bank interleave) and the page fields; stream geometry adds the
+    mesh dims (hops) and ``page_bytes`` (pages touched).  Nothing else
+    in the config can move an address, so a functional trace recorded
+    under one layout replays under every config sharing it.
+    """
+
+    mesh_width: int
+    mesh_height: int
+    page_bytes: int
+    huge_page_bytes: int
+    use_huge_pages: bool
+
+
+@dataclass(frozen=True)
 class SystemConfig:
     """Complete machine description; the single argument to machine builders."""
 
@@ -263,6 +281,13 @@ class SystemConfig:
     @property
     def num_cores(self) -> int:
         return self.noc.num_tiles
+
+    @property
+    def layout(self) -> AddressLayout:
+        """The fields that fix addresses and stream geometry."""
+        return AddressLayout(self.noc.mesh_width, self.noc.mesh_height,
+                             self.page_bytes, self.huge_page_bytes,
+                             self.use_huge_pages)
 
     @property
     def l3_total_bytes(self) -> int:

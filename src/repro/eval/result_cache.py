@@ -64,11 +64,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 CACHE_SCHEMA = 5
 
 #: Artifact kinds an envelope can carry (``kind`` field); entries written
-#: before the field existed count as "result".
+#: before the field existed count as "result".  Older stores may still
+#: hold "build" and "stats" entries; nothing looks them up any more and
+#: ``repro cache clear`` removes them.
 KIND_RESULT = "result"
-KIND_BUILD = "build"
 KIND_REPLAY = "replay"
-KIND_STATS = "stats"
 
 #: Envelope tag distinguishing checksummed entries from foreign pickles.
 _MAGIC = "repro-cache-v1"
@@ -81,6 +81,17 @@ _LOCK_NAME = ".lock"
 #: Cap on a single entry's serialized size, in MB (0 disables the cap).
 _ENV_MAX_MB = "REPRO_CACHE_MAX_MB"
 _DEFAULT_MAX_MB = 512.0
+
+
+class _ByteCount:
+    """A write-only sink that counts the bytes a pickler streams in."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def write(self, data) -> int:
+        self.count += len(data)
+        return len(data)
 
 
 def max_entry_bytes() -> Optional[int]:
@@ -232,17 +243,17 @@ class ResultCache:
                 pass
 
     @staticmethod
-    def _pack(value: Any, kind: str = KIND_RESULT) -> bytes:
+    def _envelope(value: Any, kind: str) -> Dict[str, Any]:
         """Envelope a value: payload pickle + SHA-256 + schema + magic."""
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {"magic": _MAGIC, "schema": CACHE_SCHEMA, "kind": kind,
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                    "payload": payload}
-        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        return {"magic": _MAGIC, "schema": CACHE_SCHEMA, "kind": kind,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "payload": payload}
 
     @staticmethod
-    def _unpack(blob: bytes) -> Any:
-        """Verify an envelope and return its value; raises on any defect."""
+    def _payload(blob: bytes) -> bytes:
+        """Verify an envelope and return its payload; raises on any
+        defect."""
         envelope = pickle.loads(blob)
         if not isinstance(envelope, dict) \
                 or envelope.get("magic") != _MAGIC:
@@ -255,7 +266,7 @@ class ResultCache:
             raise ValueError("missing payload")
         if hashlib.sha256(payload).hexdigest() != envelope.get("sha256"):
             raise ValueError("checksum mismatch")
-        return pickle.loads(payload)
+        return payload
 
     def lookup(self, key: str) -> Optional[Any]:
         """Return the cached value for ``key``, or None on a miss.
@@ -273,22 +284,27 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
+        size = len(blob)
         try:
-            value = self._unpack(blob)
+            payload = self._payload(blob)
+            # Drop the file image before unpickling: a large entry is
+            # then never held three times over.
+            del blob
+            value = pickle.loads(payload)
         except Exception:
             self.misses += 1
             self._quarantine(path, "corrupt")
             return None
         self.hits += 1
-        self.bytes_read += len(blob)
+        self.bytes_read += size
         return value
 
     def store(self, key: str, value: Any, kind: str = KIND_RESULT) -> bool:
         """Persist ``value`` under ``key`` atomically.
 
-        ``kind`` labels the artifact class ("result", "build", "replay",
-        "stats") in the envelope so ``repro cache stats`` can account
-        each class separately.  Returns False (storing nothing) when the serialized
+        ``kind`` labels the artifact class ("result" or "replay") in the
+        envelope so ``repro cache stats`` can account each class
+        separately.  Returns False (storing nothing) when the serialized
         entry exceeds ``$REPRO_CACHE_MAX_MB`` — a runaway entry must
         degrade to a cache miss, not fill the disk.
 
@@ -298,24 +314,38 @@ class ResultCache:
         counted miss (``write_errors``) and returns False: an unattended
         sweep on a full disk must keep computing and returning results,
         not die storing them.
+
+        The envelope is streamed to disk: the pickler hands the payload
+        to the file (and to the size count before it) by reference, so a
+        large entry is never held twice in memory.  Only chaos injection
+        materializes the whole entry, to tear or flip it.
         """
         path = self._path(key)
-        blob = self._pack(value, kind)
+        envelope = self._envelope(value, kind)
+        sink = _ByteCount()
+        pickle.dump(envelope, sink, protocol=pickle.HIGHEST_PROTOCOL)
+        size = sink.count
         limit = max_entry_bytes()
-        if limit is not None and len(blob) > limit:
+        if limit is not None and size > limit:
             self.oversize_skips += 1
             return False
-        on_disk = blob
+        blob = None
         tmp = None
         try:
             if self.injector is not None:
                 # May raise (ENOSPC/EACCES) or return a torn/flipped
                 # blob that lands at rest, exactly like real corruption.
-                on_disk = self.injector.on_write(path, blob)
+                blob = self.injector.on_write(path, pickle.dumps(
+                    envelope, protocol=pickle.HIGHEST_PROTOCOL))
+                size = len(blob)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                fh.write(on_disk)
+                if blob is None:
+                    pickle.dump(envelope, fh,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+                else:
+                    fh.write(blob)
             with _shard_lock(path):
                 os.replace(tmp, path)
             tmp = None
@@ -328,7 +358,7 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-        self.bytes_written += len(on_disk)
+        self.bytes_written += size
         return True
 
     # ------------------------------------------------------------------
@@ -402,10 +432,9 @@ class ResultCache:
         Always reports the quarantine (count and bytes) separately from
         live entries.  With ``by_kind`` each live entry's envelope is read
         to split the accounting into artifact classes (``result`` sweep
-        points, ``build`` pickled workloads, ``replay`` functional
-        traces, ``stats`` derived-geometry bundles) — the replay/stats
-        artifacts are the large ones, so this is how their footprint is
-        judged against ``$REPRO_CACHE_MAX_MB``.
+        points, ``replay`` functional traces with their derived
+        geometry) — the replay artifacts are the large ones, so this is
+        how their footprint is judged against ``$REPRO_CACHE_MAX_MB``.
         """
         entries = 0
         size = 0

@@ -3,18 +3,18 @@
 Every figure driver reduces to a set of :class:`SweepPoint`\\ s.
 :func:`run_sweep` deduplicates them, satisfies what it can from the
 persistent :class:`~repro.eval.result_cache.ResultCache`, groups the rest
-by **functional key** — (workload, scale, seed, config), the tuple that
-determines addresses and compute results — and runs the groups either
-inline (``jobs=1``) or on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+by (workload, scale, seed, config) and runs the groups either inline
+(``jobs=1``) or on a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Within a group only the first point pays functional cost: the group
-loads the content-keyed :class:`~repro.sim.replay.FunctionalTrace` from
-the persistent cache (or builds the workload once, records the trace,
-and stores it), and every point — every offload mode, timing knob,
-sample_cores, recovery rate, and fault plan, none of which can change
-addresses or compute results — replays it.  ``$REPRO_NO_REPLAY``
-restores the previous build-and-share-the-workload behavior.
+loads the content-keyed :class:`~repro.sim.replay.FunctionalTrace` of
+its address layout from the persistent cache (or builds the workload
+once, records the trace, and stores it after its points ran), and every
+point — every offload mode, timing knob, sample_cores, and fault plan,
+none of which can change addresses or compute results — replays it.
+Groups whose configs differ only outside the layout (SE knobs, core,
+caches) share that one stored trace.  ``$REPRO_NO_REPLAY`` restores the
+previous build-and-share-the-workload behavior.
 
 Determinism: a group is self-contained — it derives everything from the
 (name, scale, seed, config) tuple, so its results are identical whether it
@@ -121,9 +121,20 @@ class SweepPoint:
     fault_plan: Optional[FaultPlan] = None
 
     def key(self) -> str:
-        """Content hash for the persistent result cache and the journal."""
-        return point_key(self.workload, self.mode, self.config, self.scale,
-                         self.seed, self.sample_cores, self.fault_plan)
+        """Content hash for the persistent result cache and the journal.
+
+        Computed once per instance: it canonicalizes the whole config,
+        and a sweep asks for it several times per point.  The memo is
+        per object, not per equal value — ``scale=1`` and ``scale=1.0``
+        are equal points that canonicalize to different keys.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = point_key(self.workload, self.mode, self.config,
+                            self.scale, self.seed, self.sample_cores,
+                            self.fault_plan)
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass
@@ -281,10 +292,11 @@ _GroupKey = Tuple[str, float, int, SystemConfig]
 
 
 def _group_key(point: SweepPoint) -> _GroupKey:
-    """The functional key: everything that determines addresses and
-    compute results.  Modes, sample_cores, recovery rates, and fault
-    plans ride on top (faults are semantically invariant), so all of
-    them share one functional trace."""
+    """One group per (workload, scale, seed, config).  Modes,
+    sample_cores, and fault plans ride on top (faults are semantically
+    invariant), so all of them share one functional trace; configs that
+    share an address layout also share it through the store, but stay
+    separate groups so a per-group timeout keeps its meaning."""
     return (point.workload, point.scale, point.seed, point.config)
 
 
@@ -298,33 +310,30 @@ def _run_group(payload: _Payload) -> List[Tuple]:
 
     Module-level so it pickles for ProcessPoolExecutor; all points share
     the same (workload, scale, seed, config). ``payload`` carries the
-    result-cache root (or None) so workers can reuse the persistent
-    replay/build caches across groups and sessions, plus the heartbeat
-    file this worker touches before every point and every phase so the
+    result-cache root (or None) so workers can reuse stored functional
+    traces across groups and sessions, plus the heartbeat file this
+    worker touches before every point and every phase so the
     dispatcher's watchdog can tell "hung" from "slow".
 
-    The group first tries the content-keyed functional trace: a hit
-    means zero functional work for the whole group.  On a miss it builds
-    the workload once (through the build cache when persistent), records
-    the trace, stores it, and replays it for every point.  With replay
-    disabled (``$REPRO_NO_REPLAY``) points share the built workload as
-    before.
-
-    The derived-geometry stats bundle rides the same way: a persistent
-    group loads it once and every mode unpacks from it; a group that had
-    to compute stats stores the bundle afterwards (unless
-    ``$REPRO_NO_STATS_CACHE``).  Uncached groups still share stats
-    across their points through the trace's in-process memo, writing
-    nothing to disk.
+    The group loads the stored functional trace of its address layout
+    (:func:`~repro.workloads.build_cache.load_or_record`): a hit means
+    zero functional work for the whole group, even when another group
+    recorded it under different SE knobs.  On a miss it builds and
+    records once, replays the trace for every point, and then stores it
+    with the stream geometry the points derived
+    (:func:`~repro.workloads.build_cache.save_trace`).  An uncached
+    group records in memory only and writes nothing to disk.  With
+    replay disabled (``$REPRO_NO_REPLAY``) points share the built
+    workload.
 
     Returns one record per point — ``("ok", SimResult)`` or
     ``("error", stage, exc_type, message, traceback)`` — so a mid-group
     exception costs only its own point, never the group's completed work.
     """
     from repro.mem.address import AddressSpace
-    from repro.sim.run import _ENV_NO_REPLAY, _ENV_NO_STATS_CACHE, \
-        run_workload
+    from repro.sim.run import _ENV_NO_REPLAY, run_workload
     from repro.workloads import make_workload
+    from repro.workloads.build_cache import load_or_record, save_trace
 
     points, cache_root = payload[0], payload[1]
     hb_path = payload[2] if len(payload) > 2 else None
@@ -339,50 +348,20 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     _beat()
     first = points[0]
     cache = ResultCache(cache_root) if cache_root is not None else None
-    use_replay = not os.environ.get(_ENV_NO_REPLAY)
-    use_stats = use_replay and not os.environ.get(_ENV_NO_STATS_CACHE)
-    trace = None
-    stats_loaded = False
+    replay = not os.environ.get(_ENV_NO_REPLAY)
     try:
-        if cache is not None and use_replay:
-            from repro.workloads.build_cache import load_trace_cached
-            trace = load_trace_cached(first.workload, first.scale,
-                                      first.seed, first.config, cache=cache)
-        if trace is None:
-            if cache is not None:
-                from repro.workloads.build_cache import \
-                    build_workload_cached
-                wl = build_workload_cached(first.workload, first.scale,
-                                           first.seed, first.config,
-                                           cache=cache)
-            else:
-                wl = make_workload(first.workload, scale=first.scale,
+        if replay:
+            source = load_or_record(first.workload, first.scale,
+                                    first.seed, first.config, cache)
+        else:
+            source = make_workload(first.workload, scale=first.scale,
                                    seed=first.seed)
-                wl.build(AddressSpace(first.config))
-            if use_replay:
-                if cache is not None:
-                    from repro.workloads.build_cache import \
-                        record_trace_cached
-                    trace = record_trace_cached(wl, first.config,
-                                                cache=cache)
-                else:
-                    # No persistent store: record in-memory only, so an
-                    # uncached sweep stays side-effect free on disk.
-                    from repro.eval.result_cache import config_fingerprint
-                    from repro.sim.replay import record_trace
-                    trace = record_trace(wl,
-                                         config_fingerprint(first.config))
-        if trace is not None and cache is not None and use_stats:
-            from repro.workloads.build_cache import load_stats_cached
-            stats_loaded = trace.adopt_stats(
-                load_stats_cached(first.workload, first.scale, first.seed,
-                                  first.config, cache=cache))
+            source.build(AddressSpace(first.config))
     except Exception as exc:  # noqa: BLE001 — reported per point
         record = (_ERR, "build", type(exc).__name__, str(exc),
                   clip_traceback(traceback.format_exc()))
         return [record for _ in points]
 
-    source = trace if trace is not None else wl
     records: List[Tuple] = []
     for p in points:
         _beat()
@@ -397,19 +376,35 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             records.append((_ERR, "run", type(exc).__name__, str(exc),
                             clip_traceback(traceback.format_exc())))
 
-    if (trace is not None and cache is not None and use_stats
-            and not stats_loaded):
-        # Persist the group's computed geometry so the next session's
-        # warm runs load instead of recompute.  Pure bookkeeping: a
-        # failure here must never cost the group's completed points.
+    if replay:
+        # Pure bookkeeping: a failure here must never cost the group's
+        # completed points.
         try:
-            from repro.workloads.build_cache import store_stats_cached
-            bundle = trace.export_stats()
-            if bundle is not None:
-                store_stats_cached(bundle, first.config, cache=cache)
+            save_trace(source, cache)
         except Exception:  # noqa: BLE001 — best-effort persistence
             pass
     return records
+
+
+#: Seconds between a pool worker's checks that its driver still lives.
+_ORPHAN_POLL = 0.2
+
+
+def _exit_when_orphaned(driver: int) -> None:
+    """Pool initializer: end this worker once its driver process is gone.
+
+    A forked worker holds the write end of the pool's call queue itself,
+    so a SIGKILLed driver never delivers EOF and the worker would wait
+    forever, reparented.  A daemon thread polls the parent pid instead
+    and exits the worker the moment it changes.
+    """
+    def watch() -> None:
+        while os.getppid() == driver:
+            time.sleep(_ORPHAN_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-orphan-watch",
+                     daemon=True).start()
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -485,7 +480,9 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
 
     while queue:
         workers = min(jobs, len(queue))
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_exit_when_orphaned,
+                                   initargs=(os.getpid(),))
         pending: Dict = {}
         slot_at: Dict[int, float] = {}
         start_at: Dict[int, float] = {}

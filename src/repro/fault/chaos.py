@@ -1,8 +1,7 @@
 """Deterministic storage-fault injection for the persistent cache store.
 
 PR 3 chaos-tests the §IV-B *protocol* sites; this module does the same
-for the *storage* layer every cache kind (result / build / replay /
-stats) sits on.  A :class:`ChaosInjector` wraps the
+for the *storage* layer every cache kind (result / replay) sits on.  A :class:`ChaosInjector` wraps the
 :class:`~repro.eval.result_cache.ResultCache` I/O paths and fires seeded
 faults that mimic what real unattended sweeps hit:
 

@@ -56,15 +56,18 @@ class AddressSpace:
     range — exactly the property range-based synchronization relies on. With
     4 KB pages, frames are assigned in a deterministic shuffled order to model
     fragmentation.
+
+    Only the config's :class:`~repro.config.AddressLayout` is kept, so a
+    space (and a functional trace carrying it) never holds timing knobs.
     """
 
     _REGION_ALIGN = 1 << 21  # regions start on 2MB boundaries
 
     def __init__(self, config: SystemConfig, seed: int = 7) -> None:
-        self.config = config
-        self.page_bytes = (config.huge_page_bytes if config.use_huge_pages
-                           else config.page_bytes)
-        self.num_banks = config.num_cores
+        layout = self.layout = config.layout
+        self.page_bytes = (layout.huge_page_bytes if layout.use_huge_pages
+                           else layout.page_bytes)
+        self.num_banks = layout.mesh_width * layout.mesh_height
         self._next_vbase = self._REGION_ALIGN  # leave page 0 unmapped
         self._regions: Dict[str, Region] = {}
         self._frame_of_page: Dict[int, int] = {}
@@ -98,7 +101,7 @@ class AddressSpace:
         first = region.vbase // self.page_bytes
         last = (region.vend - 1) // self.page_bytes
         pages = list(range(first, last + 1))
-        if self.config.use_huge_pages:
+        if self.layout.use_huge_pages:
             frames = list(range(self._next_frame, self._next_frame + len(pages)))
         else:
             # Fragmented: deterministic pseudo-random frame order.

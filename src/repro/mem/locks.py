@@ -91,9 +91,10 @@ class LockAnalysis:
     Lock contention is pure in (lock kind, window, lines, modifies,
     stream ids) — all derived from the trace and the SystemConfig — so
     one stream's analysis can ride along on its
-    :class:`~repro.sim.tracestats.StreamStats` and in the persistent
-    stats bundle.  ``kind``/``window`` tag the parameters the result
-    was computed under; consumers must recompute on any mismatch.
+    :class:`~repro.sim.tracestats.StreamStats` and in the stream
+    geometry stored with the functional trace.  ``kind``/``window`` tag
+    the parameters the result was computed under; consumers must
+    recompute on any mismatch.
     """
 
     kind: str

@@ -891,7 +891,7 @@ class PhaseEngine:
                 continue
             # Contention is pure in (kind, window, trace geometry), all
             # mode-independent, so the analysis is memoized on the stats
-            # (and rides the persistent bundle).  Fault injection below
+            # (and is stored with the trace).  Fault injection below
             # copies, never mutates, so the memo stays pristine.
             memo = stats.lock_analysis
             if (memo is not None and memo.kind == kind.value

@@ -3,7 +3,7 @@
 Sweeps and comparisons re-run the same functional workload for every
 offload mode and timing config, even though addresses and compute
 results cannot change across those axes — the functional pass is a pure
-function of (workload, scale, seed, machine config).  This module makes
+function of (workload, scale, seed, address layout).  This module makes
 that split explicit: a :class:`FunctionalTrace` captures everything the
 simulation phases consume — the compiled :class:`StreamProgram` of every
 phase, the packed stream address vectors, the measured atomic outcomes
@@ -20,9 +20,11 @@ this for all workloads and modes with the same discipline as
 ``cache_ref`` and ``analyze_reference``.
 
 Persistence rides the same checksummed-envelope, content-addressed store
-as workload builds (:mod:`repro.workloads.build_cache` holds the cache
-plumbing and the key derivation); a corrupt or stale entry quarantines
-and degrades to a live build, never a crash.
+as simulation results (:mod:`repro.workloads.build_cache` holds the
+cache plumbing and the key derivation): one entry per workload and
+address layout holds the trace and its derived stream geometry.  A
+corrupt or stale entry quarantines and degrades to a fresh build and
+record, never a crash.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.compiler import compile_kernel
 from repro.compiler.program import StreamProgram
+from repro.config import AddressLayout
 from repro.mem.address import AddressSpace
 from repro.mem.locks import LockAnalysis
 from repro.sim.tracestats import (StreamStats, banks_of_lines,
@@ -42,12 +45,9 @@ from repro.sim.tracestats import (StreamStats, banks_of_lines,
 from repro.workloads.base import Phase, StreamTraceData, Workload
 
 #: Bump when the FunctionalTrace layout or reconstruction semantics
-#: change in a way that invalidates stored traces.
-REPLAY_SCHEMA = 1
-
-#: Bump when the StatsBundle layout or StreamStats reconstruction
-#: semantics change in a way that invalidates stored bundles.
-STATS_SCHEMA = 1
+#: change in a way that invalidates stored traces.  2: keyed on the
+#: address layout, with the packed stream geometry inside.
+REPLAY_SCHEMA = 2
 
 _NO_SLICE = (-1, -1)
 
@@ -177,7 +177,7 @@ class PhaseStatsPack:
     mesh (``lines % num_tiles``, the OpenMP-static split) and are
     rebuilt on unpack with the exact formulas
     :func:`~repro.sim.tracestats.compute_stream_stats` uses, so the
-    reconstruction is bit-identical while the bundle stays ~3x smaller.
+    reconstruction is bit-identical while the pack stays ~3x smaller.
     """
 
     names: List[str]                  # traces-dict insertion order
@@ -233,7 +233,7 @@ class PhaseStatsPack:
         as a miss and recomputes.
         """
         if list(phase.traces) != self.names:
-            raise ValueError("stats bundle streams do not match the phase")
+            raise ValueError("stats pack streams do not match the phase")
         n_tiles = mesh.num_tiles
         stats: Dict[str, StreamStats] = {}
         for i, name in enumerate(self.names):
@@ -242,7 +242,7 @@ class PhaseStatsPack:
             n = v1 - v0
             if n != trace.steps:
                 raise ValueError(
-                    f"stats bundle stream {name!r} has {n} elements, "
+                    f"stats pack stream {name!r} has {n} elements, "
                     f"phase trace has {trace.steps}")
             lines = self.lines[v0:v1]
             stats[name] = StreamStats(
@@ -273,146 +273,102 @@ class PhaseStatsPack:
 
 
 @dataclass
-class StatsBundle:
-    """A workload's derived stream geometry, persisted once per
-    (functional trace, SystemConfig).
-
-    Geometry is pure in (trace content, config): the physical layout
-    comes from the trace's AddressSpace and the bank/core/hop structure
-    from the config's mesh.  ``config_fp`` therefore pins the config the
-    bundle was derived under — the loader rejects any mismatch, because
-    a different config means different banks and hop counts.
-    """
-
-    schema: int
-    workload: str
-    scale: float
-    seed: int
-    config_fp: str
-    phases: List[PhaseStatsPack]
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate in-memory footprint of the packed arrays."""
-        return sum(p.nbytes for p in self.phases)
-
-
-@dataclass
 class FunctionalTrace:
     """A workload's full functional execution, replayable without it.
 
     Carries the address space (physical layout and NUCA mapping derive
     from it), one :class:`PhaseTrace` per phase, and the identity tuple
-    the content key was derived from.  ``config_fp`` pins the
-    :class:`SystemConfig` the trace was recorded under — replaying
-    against a different config would silently desynchronize the address
-    layout, so :func:`repro.sim.run.run_workload` refuses it.
+    the content key was derived from.  The space pins the
+    :class:`~repro.config.AddressLayout` the trace was recorded under —
+    replaying against a config with another layout would silently
+    desynchronize addresses, so :func:`repro.sim.run.run_workload`
+    refuses it.  Every other config field (core, caches, SE knobs) is
+    free to vary.
+
+    ``stats`` is the derived stream geometry of every phase, packed
+    (:class:`PhaseStatsPack`), once a run has computed it.  Geometry is
+    pure in (trace, layout), so it travels inside the same store entry
+    and serves every config sharing the layout.
     """
 
     schema: int
     workload: str
     scale: float
     seed: int
-    config_fp: str
     space: AddressSpace
     phases: List[PhaseTrace]
+    stats: Optional[List[PhaseStatsPack]] = None
     # Per-phase StreamStats memo shared by every replay of this object in
     # this process (stats are mode-independent).  Never persisted.
     _stats: Dict[int, Dict[str, StreamStats]] = field(
         default_factory=dict, repr=False, compare=False)
-    # A loaded StatsBundle the memo populates from instead of
-    # recomputing.  Never persisted (it has its own cache entry).
-    _bundle: Optional[StatsBundle] = field(
-        default=None, repr=False, compare=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_stats"] = {}
-        state["_bundle"] = None
         return state
+
+    @property
+    def layout(self) -> AddressLayout:
+        """The address layout this trace was recorded under."""
+        return self.space.layout
 
     def phase_programs(self) -> List[Tuple[Phase, StreamProgram]]:
         """The reconstructed (phase, compiled program) pairs, in order."""
         return [(pt.to_phase(), pt.program) for pt in self.phases]
 
-    @property
-    def has_stats_bundle(self) -> bool:
-        return self._bundle is not None
-
-    def adopt_stats(self, bundle: Optional[StatsBundle]) -> bool:
-        """Attach a loaded :class:`StatsBundle`; ``stats_for`` then
-        unpacks phases from it instead of recomputing.
-
-        Returns False (adopting nothing) unless the bundle describes
-        exactly this trace — same identity tuple, same config
-        fingerprint, same phase count.
-        """
-        if (bundle is None
-                or bundle.schema != STATS_SCHEMA
-                or bundle.workload != self.workload
-                or bundle.scale != self.scale
-                or bundle.seed != self.seed
-                or bundle.config_fp != self.config_fp
-                or len(bundle.phases) != len(self.phases)):
-            return False
-        self._bundle = bundle
-        return True
-
-    def stats_for(self, index: int, phase: Phase, space: AddressSpace,
-                  mesh, page_bytes: int,
+    def stats_for(self, index: int, phase: Phase, mesh,
                   hmat: Optional[np.ndarray] = None
                   ) -> Dict[str, StreamStats]:
         """Per-stream :class:`StreamStats` of phase ``index``, memoized.
 
-        Stats depend only on (trace, space, machine geometry) — all fixed
-        for one FunctionalTrace — so every mode replaying this object
-        shares one computation.  An adopted stats bundle supplies them
-        without recomputing; a bundle that turns out not to match the
-        phase (impossible under the content key, but cheap to guard)
-        falls back to the computation.  ``hmat`` optionally passes the
-        caller's hop matrix; with the per-mesh memo both resolve to the
-        same array.
+        Stats depend only on (trace, layout) — both fixed for one
+        FunctionalTrace — so every mode and knob replaying this object
+        shares one computation.  Packed ``stats`` supply them without
+        recomputing; a pack that turns out not to match the phase
+        (impossible under the content key, but cheap to guard) falls
+        back to the computation.  ``mesh`` is the replaying machine's
+        (same dims as the layout); ``hmat`` optionally passes its hop
+        matrix — with the per-mesh memo both resolve to the same array.
         """
         if index not in self._stats:
             stats = None
-            if self._bundle is not None:
+            if self.stats is not None and len(self.stats) == len(
+                    self.phases):
                 try:
-                    stats = self._bundle.phases[index].to_stats(phase, mesh)
+                    stats = self.stats[index].to_stats(phase, mesh)
                 except ValueError:
                     stats = None
             if stats is None:
                 if hmat is None:
                     hmat = hops_matrix(mesh)
-                stats = compute_phase_stats(phase.traces, space, mesh,
-                                            hmat, page_bytes)
+                stats = compute_phase_stats(phase.traces, self.space, mesh,
+                                            hmat, self.layout.page_bytes)
             self._stats[index] = stats
         return self._stats[index]
 
-    def export_stats(self) -> Optional[StatsBundle]:
-        """Bundle the memoized stats of every phase for persistence.
+    def pack_stats(self) -> bool:
+        """Pack the memoized stats of every phase into ``stats``.
 
-        Returns None unless every phase's stats have been computed (one
-        full run populates them all).
+        Returns True only when this adds packed stats the trace did not
+        carry — the signal that its store entry should be (re)written.
+        False while any phase's stats are still uncomputed (one full run
+        computes them all) or when ``stats`` is already set.
         """
-        if len(self._stats) != len(self.phases):
-            return None
-        return StatsBundle(
-            schema=STATS_SCHEMA,
-            workload=self.workload,
-            scale=self.scale,
-            seed=self.seed,
-            config_fp=self.config_fp,
-            phases=[PhaseStatsPack.from_stats(pt.names, self._stats[i])
-                    for i, pt in enumerate(self.phases)],
-        )
+        if self.stats is not None or len(self._stats) != len(self.phases):
+            return False
+        self.stats = [PhaseStatsPack.from_stats(pt.names, self._stats[i])
+                      for i, pt in enumerate(self.phases)]
+        return True
 
     @property
     def nbytes(self) -> int:
         """Approximate in-memory footprint of the packed arrays."""
-        return sum(pt.nbytes for pt in self.phases)
+        return (sum(pt.nbytes for pt in self.phases)
+                + sum(p.nbytes for p in self.stats or ()))
 
 
-def record_trace(wl: Workload, config_fp: str) -> FunctionalTrace:
+def record_trace(wl: Workload) -> FunctionalTrace:
     """Snapshot a built workload's functional execution for replay.
 
     Compiles every phase's kernel (the compiled programs travel with the
@@ -428,7 +384,6 @@ def record_trace(wl: Workload, config_fp: str) -> FunctionalTrace:
         workload=wl.name,
         scale=wl.scale,
         seed=wl.seed,
-        config_fp=config_fp,
         space=wl.space,
         phases=phases,
     )

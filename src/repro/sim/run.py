@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.compiler import compile_kernel
 from repro.config import SystemConfig
@@ -23,15 +23,9 @@ from repro.sim.tracestats import hops_matrix
 from repro.trace.tracer import Tracer, tracer_from_env
 from repro.workloads import Workload, make_workload
 
-#: Set to any non-empty value to bypass the workload-build cache.
-_ENV_NO_BUILD_CACHE = "REPRO_NO_BUILD_CACHE"
 #: Set to any non-empty value to disable the functional-trace replay fast
 #: path (record + replay of compiled programs and stream traces).
 _ENV_NO_REPLAY = "REPRO_NO_REPLAY"
-#: Set to any non-empty value to disable the derived-geometry stats
-#: bundle (persisted per-phase StreamStats); stats are then recomputed
-#: from the trace on every run.
-_ENV_NO_STATS_CACHE = "REPRO_NO_STATS_CACHE"
 
 
 def run_workload(workload: Union[str, Workload, FunctionalTrace],
@@ -41,7 +35,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                  seed: int = 42,
                  sample_cores: int = 4,
                  space: Optional[AddressSpace] = None,
-                 use_build_cache: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
                  use_replay: bool = True,
@@ -57,24 +50,16 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     no workload build, no kernel compilation — bit-identical to live by
     construction (property-tested in ``tests/sim``).
 
-    Workloads named by string run through two content-keyed caches:
-
-    * the **replay cache** — a compact functional trace (compiled
-      programs + packed stream traces).  A hit skips the build entirely
-      (``run.replay`` stage); a miss records one after building
-      (``run.record``) so every later run of the same functional key —
-      any mode, any timing knob — replays.  Disable with
-      ``use_replay=False`` or ``$REPRO_NO_REPLAY``.
-    * the **build cache** — the pickled built workload.  Disable with
-      ``use_build_cache=False`` or ``$REPRO_NO_BUILD_CACHE`` (which also
-      disables replay: both are persisted-artifact paths).
-    * the **stats cache** — the derived stream-geometry bundle
-      (per-phase :class:`~repro.sim.tracestats.StreamStats` in SoA
-      form), loaded under ``run.trace_load`` on warm runs and recorded
-      under ``run.record_stats`` after a run that had to compute them.
-      Geometry is pure in (trace, config), so loading it is
-      bit-identical to recomputing; disable with
-      ``$REPRO_NO_STATS_CACHE``.
+    Workloads named by string replay the stored functional trace of
+    their address layout (:mod:`repro.workloads.build_cache`): one store
+    entry per (workload, scale, seed, ``config.layout``) holds the
+    compiled programs, the packed stream traces and the derived stream
+    geometry.  A hit skips the build (``run.replay``); a miss builds and
+    records one (``run.build``, ``run.record``) and stores it after the
+    run has derived its geometry (``run.store``), so every later run of
+    any mode, timing knob or SE knob on that layout replays.  Disable
+    with ``use_replay=False`` or ``$REPRO_NO_REPLAY``; a custom
+    ``space`` also builds live.
 
     ``fault_plan`` injects seeded, discrete faults at the real protocol
     sites (:mod:`repro.fault`): alias false positives, SE_L3 TLB aborts
@@ -110,66 +95,45 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
         # charge it to run.setup so profiles stay near-complete.
         with profiler.stage("run.setup"):
             tracer = tracer_from_env()
-    use_build_cache = (use_build_cache
-                       and not os.environ.get(_ENV_NO_BUILD_CACHE))
     use_replay = use_replay and not os.environ.get(_ENV_NO_REPLAY)
 
     trace: Optional[FunctionalTrace] = None
     wl: Optional[Workload] = None
-    # Stats bundles are persisted only for string-named runs (the cached
-    # paths); a FunctionalTrace passed directly relies on its in-process
-    # memo or a bundle the caller adopted (run_sweep does both), so an
-    # uncached sweep never writes to disk.
-    stats_cacheable = False
+    # Only string-named runs persist; a FunctionalTrace passed directly
+    # relies on its in-process memo (run_sweep saves it per group), so
+    # an uncached sweep never writes to disk.
+    cache = None
     if isinstance(workload, FunctionalTrace):
         trace = workload
+    elif isinstance(workload, str) and use_replay and space is None:
+        with profiler.stage("run.replay"):
+            # Import inside the stage: the cache module's first load is
+            # real warm-run time and must show in the profile.
+            from repro.eval.result_cache import get_default_cache
+            from repro.workloads.build_cache import load_or_record, \
+                save_trace
+            cache = get_default_cache()
+        trace = load_or_record(workload, scale, seed, config, cache,
+                               profiler)
     elif isinstance(workload, str):
-        replayable = use_replay and use_build_cache and space is None
-        if replayable:
-            with profiler.stage("run.replay"):
-                # Import inside the stage: the cache module's first load
-                # is real warm-run time and must show in the profile.
-                from repro.workloads.build_cache import load_trace_cached
-                trace = load_trace_cached(workload, scale, seed, config)
-        if trace is None:
-            with profiler.stage("run.build"):
-                if use_build_cache:
-                    from repro.workloads.build_cache import \
-                        build_workload_cached
-                    wl = build_workload_cached(workload, scale, seed,
-                                               config, space=space)
-                else:
-                    wl = make_workload(workload, scale=scale, seed=seed)
-                    wl.build(space or AddressSpace(config))
-            if replayable:
-                with profiler.stage("run.record"):
-                    from repro.workloads.build_cache import \
-                        record_trace_cached
-                    trace = record_trace_cached(wl, config)
-        stats_cacheable = (replayable and trace is not None
-                           and not os.environ.get(_ENV_NO_STATS_CACHE))
+        with profiler.stage("run.build"):
+            wl = make_workload(workload, scale=scale, seed=seed)
+            wl.build(space or AddressSpace(config))
     else:
         wl = workload
         if wl.space is None:
             with profiler.stage("run.build"):
                 wl.build(space or AddressSpace(config))
 
-    stats_loaded = trace is not None and trace.has_stats_bundle
     if trace is not None:
         with profiler.stage("run.trace_load"):
-            from repro.eval.result_cache import config_fingerprint
-            if trace.config_fp != config_fingerprint(config):
+            if trace.layout != config.layout:
                 raise ValueError(
-                    f"{trace.workload}: functional trace was recorded under "
-                    f"a different SystemConfig; replaying it would "
-                    f"desynchronize the address layout")
+                    f"{trace.workload}: functional trace was recorded "
+                    f"under a different address layout (mesh or page "
+                    f"size); replaying it would desynchronize addresses")
             run_name, run_scale, run_space = (trace.workload, trace.scale,
                                               trace.space)
-            if stats_cacheable and not stats_loaded:
-                from repro.workloads.build_cache import load_stats_cached
-                stats_loaded = trace.adopt_stats(
-                    load_stats_cached(trace.workload, trace.scale,
-                                      trace.seed, config))
             pairs = trace.phase_programs()
     else:
         run_name, run_scale, run_space = wl.name, wl.scale, wl.space
@@ -201,8 +165,7 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                 program = compile_kernel(phase.kernel)
         else:
             with profiler.stage("phase.stats"):
-                stats = trace.stats_for(index, phase, run_space,
-                                        machine.mesh, config.page_bytes,
+                stats = trace.stats_for(index, phase, machine.mesh,
                                         hmat=hmat)
         flow = machine.fresh_flow()
         with profiler.stage("phase.setup"):
@@ -235,12 +198,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
             bottleneck=outcome.bottleneck, core_uops=outcome.core_uops,
             offloaded_compute_instances=outcome.offloaded_uops))
 
-    if stats_cacheable and not stats_loaded:
-        with profiler.stage("run.record_stats"):
-            from repro.workloads.build_cache import store_stats_cached
-            bundle = trace.export_stats()
-            if bundle is not None:
-                store_stats_cached(bundle, config)
+    if cache is not None:
+        save_trace(trace, cache, profiler)
 
     with profiler.stage("run.finish"):
         total_events.noc_byte_hops = total_traffic.total_byte_hops

@@ -94,7 +94,7 @@ class StreamStats:
     modifies: Optional[np.ndarray] = None
     chain_lengths: Optional[np.ndarray] = None
     # Lazily-populated lock-contention memo (see repro.mem.locks).  The
-    # engine fills it on first analysis; the stats bundle persists it.
+    # engine fills it on first analysis; the stored trace persists it.
     lock_analysis: Optional[LockAnalysis] = None
 
     @property
@@ -111,7 +111,7 @@ def compute_stream_stats(trace: StreamTraceData, space: AddressSpace,
 
     ``lines`` optionally supplies the stream's already-translated
     physical lines (``translate(vaddrs) >> LINE_SHIFT``) so batched
-    callers — :func:`compute_phase_stats`, the stats-bundle unpack —
+    callers — :func:`compute_phase_stats`, the stored-stats unpack —
     skip the per-stream translation; translation is elementwise pure,
     so the result is identical either way.
     """

@@ -75,7 +75,10 @@ class MetricsRegistry:
         self.counters[name] = self.counters.get(name, 0.0) + n
 
     def observe(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, HistogramSummary()).observe(value)
+        hist = self.histograms.get(name)
+        if hist is None:  # built on first use, not on every event
+            hist = self.histograms[name] = HistogramSummary()
+        hist.observe(value)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)

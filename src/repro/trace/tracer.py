@@ -37,6 +37,12 @@ from repro.trace.sanitizer import ProtocolSanitizer
 #: tracer ("" / "0" / unset → disabled).
 ENV_TRACE = "REPRO_TRACE"
 
+#: Counter names per event kind and message type, built once: traced
+#: runs count every event, so formatting names per event shows up.
+_EVENT_COUNTERS = {kind: f"events.{kind.value}" for kind in EventKind}
+_MESSAGE_COUNTERS = {mtype: f"messages.{mtype.value}"
+                     for mtype in MessageType}
+
 
 def tracing_enabled() -> bool:
     """True when ``$REPRO_TRACE`` asks for implicit tracing."""
@@ -107,10 +113,10 @@ class Tracer:
 
     def _record_metrics(self, event: TraceEvent) -> None:
         m = self.metrics
-        m.count(f"events.{event.kind.value}")
-        if event.message is not None and event.mcount:
-            m.count(f"messages.{event.message.value}", event.mcount)
         kind = event.kind
+        m.count(_EVENT_COUNTERS[kind])
+        if event.message is not None and event.mcount:
+            m.count(_MESSAGE_COUNTERS[event.message], event.mcount)
         args = event.args
         if kind in (EventKind.CREDIT_ISSUE, EventKind.DONE):
             outstanding = args.get("outstanding")

@@ -1,121 +1,50 @@
-"""Content-keyed cache for built workloads.
+"""One stored functional trace per workload and address layout.
 
-``Workload.build`` is a real cost at paper scale — the Kronecker
-generators plus the functional executions (BFS levels, PageRank sweeps)
-are Python loops that dwarf the simulation itself once ``scale``
-approaches 1.0, and every figure driver rebuilds the same inputs for
-each of its modes. Building is deterministic in (workload kind, scale,
-seed, machine config), so the finished object — address space, input
-arrays, kernels, and traces — can be pickled once and reloaded for every
-subsequent run.
+The functional pass — Kronecker generators, functional executions (BFS
+levels, PageRank sweeps) and kernel compilation — is a real cost at
+paper scale, and it is deterministic in (workload kind, scale, seed,
+address layout).  The layout (:attr:`SystemConfig.layout
+<repro.config.SystemConfig.layout>`: mesh dims, page sizes, huge pages)
+is all of the machine config that can move an address, so one recorded
+:class:`~repro.sim.replay.FunctionalTrace` serves every mode, timing
+knob, SE knob and fault plan on that layout.  Its derived stream
+geometry is pure in the same inputs and travels inside the same entry.
 
 Entries live in the same ``.repro_cache/`` store as simulation results
-(:mod:`repro.eval.result_cache`), under keys that mix in the workload's
-class identity and a build-schema version, so result entries and build
-entries can never collide and semantics changes invalidate cleanly.
+(:mod:`repro.eval.result_cache`, envelope kind ``"replay"``), under keys
+that mix in the workload's class identity and the build/replay schema
+versions, so result and trace entries can never collide and semantics
+changes invalidate cleanly.
 """
 
 from __future__ import annotations
 
 import pickle
 import warnings
-from typing import Optional
+from typing import Optional, Union
 
-from repro.config import SystemConfig
-from repro.eval.result_cache import KIND_BUILD, KIND_REPLAY, KIND_STATS, \
-    ResultCache, config_fingerprint, fingerprint, get_default_cache
+from repro.config import AddressLayout, SystemConfig
+from repro.eval.result_cache import KIND_REPLAY, ResultCache, fingerprint
 from repro.mem.address import AddressSpace
-from repro.workloads.base import Workload, make_workload, _REGISTRY
+from repro.sim.profiler import Profiler
+from repro.workloads.base import _REGISTRY
 
 #: Bump when Workload.build semantics change (trace layout, allocation
-#: order, functional execution) in a way that invalidates pickled builds.
+#: order, functional execution) in a way that invalidates stored traces.
 BUILD_SCHEMA = 1
 
 
-def _store_degraded(cache: ResultCache, key: str, value,
-                    kind: str, label: str, name: str,
-                    scale: float) -> bool:
-    """Store an artifact, degrading every failure to at most a warning.
-
-    Three distinct failure classes, three distinct reactions: an
-    unpicklable value and an oversize entry are caller-actionable and
-    warn once per call; a write the *filesystem* refused (ENOSPC,
-    EACCES, chaos injection) is already counted by the store
-    (``cache.write_errors``, shown by ``repro cache stats``) and stays
-    silent — an unattended sweep on a full disk must not drown in
-    warnings while it keeps computing.
-    """
-    before = cache.oversize_skips
-    try:
-        stored = cache.store(key, value, kind=kind)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        warnings.warn(f"{label} cache: {name} (scale={scale:g}) is "
-                      f"unpicklable, not cached: {exc}", stacklevel=3)
-        return False
-    if not stored and cache.oversize_skips > before:
-        warnings.warn(f"{label} cache: {name} (scale={scale:g}) exceeds "
-                      f"$REPRO_CACHE_MAX_MB, not cached", stacklevel=3)
-    return stored
-
-
-def build_key(name: str, scale: float, seed: int,
-              config: SystemConfig) -> str:
-    """Content hash identifying one deterministic workload build.
-
-    The machine config participates because :class:`AddressSpace` layout
-    (and therefore every trace's physical addresses) derives from it.
-    """
-    cls = _REGISTRY.get(name)
-    return fingerprint({
-        "kind": "workload-build",
-        "schema": BUILD_SCHEMA,
-        "workload": name,
-        "class": f"{cls.__module__}.{cls.__qualname__}" if cls else name,
-        "scale": scale,
-        "seed": seed,
-        "config": config,
-    })
-
-
-def build_workload_cached(name: str, scale: float, seed: int,
-                          config: SystemConfig,
-                          space: Optional[AddressSpace] = None,
-                          cache: Optional[ResultCache] = None) -> Workload:
-    """Return a built workload, loading it from the cache when possible.
-
-    A custom ``space`` opts out of caching (the key only covers the
-    config-derived default layout). An unpicklable build, or one larger
-    than ``$REPRO_CACHE_MAX_MB``, degrades to a plain miss with a
-    one-line warning rather than failing the run.
-    """
-    if space is not None:
-        wl = make_workload(name, scale=scale, seed=seed)
-        wl.build(space)
-        return wl
-    cache = cache if cache is not None else get_default_cache()
-    key = build_key(name, scale, seed, config)
-    cached = cache.lookup(key)
-    if isinstance(cached, Workload):
-        return cached
-    wl = make_workload(name, scale=scale, seed=seed)
-    wl.build(AddressSpace(config))
-    _store_degraded(cache, key, wl, KIND_BUILD, "build", name, scale)
-    return wl
-
-
-# ----------------------------------------------------------------------
-# Functional-trace (replay) artifacts
-# ----------------------------------------------------------------------
 def trace_key(name: str, scale: float, seed: int,
-              config: SystemConfig) -> str:
+              config: Union[SystemConfig, AddressLayout]) -> str:
     """Content hash identifying one workload's functional trace.
 
-    Same identity tuple as :func:`build_key` — the trace is derived data
-    of the build — plus the replay schema so layout changes invalidate
-    stored traces without touching builds.
+    Only the config's address layout participates: two configs that
+    differ in any other field (core, caches, NoC links, SE knobs) share
+    one trace.
     """
     from repro.sim.replay import REPLAY_SCHEMA
     cls = _REGISTRY.get(name)
+    layout = config if isinstance(config, AddressLayout) else config.layout
     return fingerprint({
         "kind": "functional-trace",
         "schema": BUILD_SCHEMA,
@@ -124,98 +53,73 @@ def trace_key(name: str, scale: float, seed: int,
         "class": f"{cls.__module__}.{cls.__qualname__}" if cls else name,
         "scale": scale,
         "seed": seed,
-        "config": config,
+        "layout": layout,
     })
 
 
-def load_trace_cached(name: str, scale: float, seed: int,
-                      config: SystemConfig,
-                      cache: Optional[ResultCache] = None):
-    """The cached :class:`~repro.sim.replay.FunctionalTrace`, or None.
+def load_or_record(name: str, scale: float, seed: int,
+                   config: SystemConfig,
+                   cache: Optional[ResultCache],
+                   profiler: Optional[Profiler] = None):
+    """The workload's :class:`~repro.sim.replay.FunctionalTrace` for the
+    layout of ``config``: loaded from ``cache``, else built and recorded.
 
-    Anything that is not a schema-current FunctionalTrace for this
+    Anything under the key that is not a schema-current trace of this
     workload is a miss — corruption is already quarantined by the store
-    layer, and a foreign value under this key simply falls back to the
-    live build path.
+    layer.  A recorded trace is not stored here: :func:`save_trace`
+    writes it once a run has derived its stream geometry, so the one
+    entry holds both.  ``cache=None`` never touches a store.  Stages
+    land on ``profiler``: ``run.replay`` (lookup), ``run.build`` and
+    ``run.record``.
     """
-    from repro.sim.replay import REPLAY_SCHEMA, FunctionalTrace
-    cache = cache if cache is not None else get_default_cache()
-    cached = cache.lookup(trace_key(name, scale, seed, config))
-    if isinstance(cached, FunctionalTrace) \
-            and cached.schema == REPLAY_SCHEMA \
-            and cached.workload == name:
-        return cached
-    return None
+    from repro.sim.replay import REPLAY_SCHEMA, FunctionalTrace, \
+        record_trace
+    from repro.workloads import make_workload
+    prof = profiler if profiler is not None else Profiler()
+    if cache is not None:
+        with prof.stage("run.replay"):
+            cached = cache.lookup(trace_key(name, scale, seed, config))
+        if isinstance(cached, FunctionalTrace) \
+                and cached.schema == REPLAY_SCHEMA \
+                and cached.workload == name:
+            return cached
+    with prof.stage("run.build"):
+        wl = make_workload(name, scale=scale, seed=seed)
+        wl.build(AddressSpace(config))
+    with prof.stage("run.record"):
+        return record_trace(wl)
 
 
-def store_trace_cached(trace, config: SystemConfig,
-                       cache: Optional[ResultCache] = None) -> bool:
-    """Persist a recorded FunctionalTrace; degrades to a warning.
+def save_trace(trace, cache: Optional[ResultCache],
+               profiler: Optional[Profiler] = None) -> bool:
+    """Write ``trace``'s entry if this process derived its geometry.
 
-    Oversize traces (over ``$REPRO_CACHE_MAX_MB``) and unpicklable ones
-    must cost a warning, never the run.
+    A freshly recorded trace, or a loaded one without packed stats,
+    gains them once runs have computed every phase
+    (:meth:`~repro.sim.replay.FunctionalTrace.pack_stats`); only then is
+    the entry written (stage ``run.store``), so a warm trace writes
+    nothing.  Failures degrade: an unpicklable trace and one over
+    ``$REPRO_CACHE_MAX_MB`` warn once per call; a write the filesystem
+    refused (ENOSPC, EACCES, chaos injection) is already counted by the
+    store (``cache.write_errors``) and stays silent — an unattended
+    sweep on a full disk must not drown in warnings while it keeps
+    computing.
     """
-    cache = cache if cache is not None else get_default_cache()
-    key = trace_key(trace.workload, trace.scale, trace.seed, config)
-    return _store_degraded(cache, key, trace, KIND_REPLAY, "replay",
-                           trace.workload, trace.scale)
-
-
-def record_trace_cached(wl: Workload, config: SystemConfig,
-                        cache: Optional[ResultCache] = None):
-    """Record a built workload's FunctionalTrace and persist it."""
-    from repro.sim.replay import record_trace
-    trace = record_trace(wl, config_fingerprint(config))
-    store_trace_cached(trace, config, cache=cache)
-    return trace
-
-
-# ----------------------------------------------------------------------
-# Derived stream-geometry (stats) bundles
-# ----------------------------------------------------------------------
-def stats_key(name: str, scale: float, seed: int,
-              config: SystemConfig) -> str:
-    """Content hash identifying one trace's derived geometry bundle.
-
-    Keyed by the functional trace's content key plus the config
-    fingerprint (geometry depends on the mesh/page layout) and the
-    bundle schema, so layout changes invalidate bundles without
-    touching traces or builds.
-    """
-    from repro.sim.replay import STATS_SCHEMA
-    return fingerprint({
-        "kind": "stream-stats",
-        "stats_schema": STATS_SCHEMA,
-        "trace": trace_key(name, scale, seed, config),
-        "config_fp": config_fingerprint(config),
-    })
-
-
-def load_stats_cached(name: str, scale: float, seed: int,
-                      config: SystemConfig,
-                      cache: Optional[ResultCache] = None):
-    """The cached :class:`~repro.sim.replay.StatsBundle`, or None.
-
-    Anything that is not a schema-current StatsBundle for this workload
-    *recorded under this exact config fingerprint* is a miss — a bundle
-    derived under a different config would carry wrong banks and hop
-    counts, so a fingerprint mismatch falls back to recomputation.
-    """
-    from repro.sim.replay import STATS_SCHEMA, StatsBundle
-    cache = cache if cache is not None else get_default_cache()
-    cached = cache.lookup(stats_key(name, scale, seed, config))
-    if isinstance(cached, StatsBundle) \
-            and cached.schema == STATS_SCHEMA \
-            and cached.workload == name \
-            and cached.config_fp == config_fingerprint(config):
-        return cached
-    return None
-
-
-def store_stats_cached(bundle, config: SystemConfig,
-                       cache: Optional[ResultCache] = None) -> bool:
-    """Persist a derived-geometry StatsBundle; degrades to a warning."""
-    cache = cache if cache is not None else get_default_cache()
-    key = stats_key(bundle.workload, bundle.scale, bundle.seed, config)
-    return _store_degraded(cache, key, bundle, KIND_STATS, "stats",
-                           bundle.workload, bundle.scale)
+    if cache is None or not trace.pack_stats():
+        return False
+    prof = profiler if profiler is not None else Profiler()
+    label = f"replay cache: {trace.workload} (scale={trace.scale:g})"
+    before = cache.oversize_skips
+    with prof.stage("run.store"):
+        try:
+            stored = cache.store(
+                trace_key(trace.workload, trace.scale, trace.seed,
+                          trace.layout), trace, kind=KIND_REPLAY)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            warnings.warn(f"{label} is unpicklable, not cached: {exc}",
+                          stacklevel=2)
+            return False
+    if not stored and cache.oversize_skips > before:
+        warnings.warn(f"{label} exceeds $REPRO_CACHE_MAX_MB, not cached",
+                      stacklevel=2)
+    return stored

@@ -4,9 +4,13 @@ import pickle
 
 import pytest
 
-from repro.eval.result_cache import (CACHE_SCHEMA, KIND_BUILD,
-                                     KIND_REPLAY, KIND_RESULT, KIND_STATS,
-                                     ResultCache, max_entry_bytes)
+from repro.eval.result_cache import (CACHE_SCHEMA, KIND_REPLAY,
+                                     KIND_RESULT, ResultCache,
+                                     max_entry_bytes)
+
+#: Kinds that stores written before traces carried their geometry still
+#: hold; nothing looks them up, but they must quarantine like the rest.
+LEGACY_KINDS = ["build", "stats"]
 
 
 def _store_one(tmp_path, value={"x": 1}):
@@ -63,12 +67,12 @@ def test_schema_mismatch_quarantines(tmp_path):
     assert cache.quarantined == 1
 
 
-@pytest.mark.parametrize("kind", [KIND_RESULT, KIND_BUILD, KIND_REPLAY,
-                                  KIND_STATS])
+@pytest.mark.parametrize("kind", [KIND_RESULT, KIND_REPLAY]
+                         + LEGACY_KINDS)
 @pytest.mark.parametrize("corrupt", ["torn", "flip"])
 def test_every_kind_quarantines_torn_and_flipped(tmp_path, kind, corrupt):
-    """The quarantine contract holds for all four artifact kinds —
-    replay traces and stats bundles degrade exactly like results."""
+    """The quarantine contract holds for every artifact kind — replay
+    traces (and legacy entries) degrade exactly like results."""
     cache = ResultCache(tmp_path / f"{kind}-{corrupt}")
     key = "ab" + "0" * 62
     assert cache.store(key, {"kind": kind}, kind=kind) is True
@@ -90,31 +94,37 @@ def test_every_kind_quarantines_torn_and_flipped(tmp_path, kind, corrupt):
 @pytest.mark.parametrize("kind_label", ["replay", "stats"])
 def test_corrupt_replay_and_stats_entries_recompute_identically(
         tmp_path, kind_label):
-    """End to end: corrupting the real replay/stats artifacts a sweep
-    wrote forces a quarantine-and-recompute whose results are
-    bit-identical — a bad derived artifact can never change numbers."""
+    """End to end: damaging the trace entry a sweep wrote never changes
+    numbers.  ``replay``: flipped bytes in the envelope quarantine it and
+    the re-sweep rebuilds.  ``stats``: a well-formed entry whose packed
+    geometry no longer describes the trace makes the re-sweep recompute
+    the geometry.  Both are bit-identical to the first sweep."""
+    import dataclasses
+
     from repro.config import SystemConfig
     from repro.eval.sweep import SweepPoint, run_sweep
     from repro.offload.modes import ExecMode
+    from repro.workloads.build_cache import trace_key
 
     cache = ResultCache(tmp_path)
-    point = SweepPoint("histogram", ExecMode.NS, SystemConfig.ooo8(),
-                       scale=1.0 / 256.0)
+    config = SystemConfig.ooo8()
+    point = SweepPoint("histogram", ExecMode.NS, config, scale=1.0 / 256.0)
     first = run_sweep([point], jobs=1, cache=cache)[point]
 
-    victims = []
-    for path in cache.root.rglob("*.pkl"):
-        if cache.quarantine_root in path.parents:
-            continue
-        if ResultCache._entry_kind(path.read_bytes()) == kind_label:
-            victims.append(path)
-    assert victims, f"sweep never wrote a {kind_label} artifact"
-    for path in victims:
+    key = trace_key("histogram", point.scale, point.seed, config)
+    path = cache._path(key)
+    assert ResultCache._entry_kind(path.read_bytes()) == KIND_REPLAY
+    if kind_label == "replay":
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 3] ^= 0xFF
         path.write_bytes(bytes(blob))
-    # drop the result entries so the re-sweep exercises the corrupt
-    # derived artifacts instead of short-circuiting on cached results
+    else:
+        trace = cache.lookup(key)
+        trace.stats = [dataclasses.replace(p, names=["bogus"] * len(p.names))
+                       for p in trace.stats]
+        assert cache.store(key, trace, kind=KIND_REPLAY)
+    # drop the result entries so the re-sweep exercises the damaged
+    # trace entry instead of short-circuiting on cached results
     for path in cache.root.rglob("*.pkl"):
         if cache.quarantine_root not in path.parents \
                 and ResultCache._entry_kind(path.read_bytes()) == "result":
@@ -126,7 +136,8 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     assert results[point].to_dict() == first.to_dict()
     # quarantining happened in the group's own cache handle; the files
     # in the shared quarantine directory are the durable evidence
-    assert len(list(fresh.quarantine_root.glob("*.pkl"))) >= len(victims)
+    quarantined = list(fresh.quarantine_root.glob("*.pkl"))
+    assert len(quarantined) == (1 if kind_label == "replay" else 0)
 
 
 def test_stats_and_disk_stats_exclude_quarantine(tmp_path):
@@ -161,36 +172,37 @@ def test_oversized_entry_is_skipped(tmp_path, monkeypatch):
     assert not cache._path(key).exists()
 
 
-def test_oversized_build_warns_once_per_call(tmp_path, monkeypatch):
+def _recorded_trace(cache):
+    """A freshly recorded histogram trace whose geometry is derived."""
     from repro.config import SystemConfig
-    from repro.workloads.build_cache import build_workload_cached
+    from repro.sim.run import run_workload
+    from repro.workloads.build_cache import load_or_record
+
+    config = SystemConfig.ooo8()
+    trace = load_or_record("histogram", 1.0 / 256.0, 42, config, cache)
+    run_workload(trace, config=config, scale=1.0 / 256.0)
+    return trace
+
+
+def test_oversized_build_warns_once_per_call(tmp_path, monkeypatch):
+    from repro.workloads.build_cache import save_trace
 
     monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0001")
     cache = ResultCache(tmp_path)
+    trace = _recorded_trace(cache)
     with pytest.warns(UserWarning, match="REPRO_CACHE_MAX_MB"):
-        wl = build_workload_cached("histogram", 1.0 / 256.0, 42,
-                                   SystemConfig.ooo8(), cache=cache)
-    assert wl.space is not None  # still built and usable
+        assert save_trace(trace, cache) is False
+    assert trace.stats is not None  # still usable in this process
     assert cache.disk_stats()["entries"] == 0
 
 
-def test_unpicklable_build_warns_and_degrades(tmp_path, monkeypatch):
-    import repro.workloads
-    from repro.config import SystemConfig
-    from repro.workloads.build_cache import build_workload_cached
+def test_unpicklable_build_warns_and_degrades(tmp_path):
+    from repro.workloads.build_cache import save_trace
 
-    real = repro.workloads.base.make_workload
-
-    def poison(name, **kwargs):
-        wl = real(name, **kwargs)
-        wl._unpicklable = lambda: None  # lambdas cannot pickle
-        return wl
-
-    monkeypatch.setattr("repro.workloads.build_cache.make_workload",
-                        poison)
     cache = ResultCache(tmp_path)
+    trace = _recorded_trace(cache)
+    trace.space._unpicklable = lambda: None  # lambdas cannot pickle
     with pytest.warns(UserWarning, match="unpicklable"):
-        wl = build_workload_cached("histogram", 1.0 / 256.0, 42,
-                                   SystemConfig.ooo8(), cache=cache)
-    assert wl.space is not None
+        assert save_trace(trace, cache) is False
+    assert trace.stats is not None
     assert cache.disk_stats()["entries"] == 0

@@ -43,12 +43,12 @@ def test_round_trip_and_stats(tmp_path):
     assert warm.to_dict() == cold.to_dict()
     assert cache.hits == 1
     disk = cache.disk_stats(by_kind=True)
-    # One simulation result, the workload build, the functional trace the
-    # sweep recorded for replay, and the derived-geometry stats bundle.
-    assert disk["entries"] == 4 and disk["bytes"] > 0
+    # One simulation result and the functional trace the sweep recorded
+    # for replay, which carries its derived stream geometry.
+    assert disk["entries"] == 2 and disk["bytes"] > 0
     assert disk["quarantined_entries"] == 0
     assert {k: v["entries"] for k, v in disk["kinds"].items()} == {
-        "result": 1, "build": 1, "replay": 1, "stats": 1}
+        "result": 1, "replay": 1}
     assert sum(v["bytes"] for v in disk["kinds"].values()) == disk["bytes"]
 
 

@@ -97,3 +97,44 @@ def test_resolve_jobs_empty_and_negative_env(monkeypatch):
     assert resolve_jobs(None) == 1          # blank → serial, no warning
     monkeypatch.setenv("REPRO_JOBS", "-2")
     assert resolve_jobs(None) == (os.cpu_count() or 1)  # <=0 → all cores
+
+
+def test_point_key_strings_unchanged_and_memoized_per_object():
+    """SweepPoint.key() is computed once per instance and its strings
+    stay exactly what stored results and journals were keyed with."""
+    from repro.eval.result_cache import point_key
+    from repro.fault.plan import FaultPlan
+
+    pinned = [
+        (SweepPoint("histogram", ExecMode.NS, SystemConfig.ooo8(),
+                    scale=SCALE),
+         "a45ab0057a69d5a8bc0b47b3e2ea68ea119c89236068573ac693849a062f6c28"),
+        (SweepPoint("bfs_push", ExecMode.BASE,
+                    SystemConfig.ooo8().with_se(scalar_pe=False), scale=1,
+                    seed=7),
+         "cd33929941150104f4732d5218095cecb53603a380a97800a2b3283783d10564"),
+        (SweepPoint("bfs_push", ExecMode.BASE,
+                    SystemConfig.ooo8().with_se(scalar_pe=False), scale=1.0,
+                    seed=7),
+         "d1ccb69f29bc7e1948dd39254146ed7c3f5b2eb0670637d10d7a758d76d9be5e"),
+        (SweepPoint("sssp", ExecMode.NS_DECOUPLE, SystemConfig.paper_mesh(16),
+                    sample_cores=2,
+                    fault_plan=FaultPlan.uniform(100.0, seed=3)),
+         "e075a5107c3de3014b451a42090afbdc16f91c03d9e81eab5ed073d5ae6d2814"),
+    ]
+    for point, expected in pinned:
+        assert point.key() == expected
+        assert point.key() is point.key()          # memoized
+        assert expected == point_key(
+            point.workload, point.mode, point.config, point.scale,
+            point.seed, point.sample_cores, point.fault_plan)
+    # scale=1 and scale=1.0 are equal (and hash alike) but keep their
+    # own keys: the memo is per object, never shared by equality.
+    int_scale, float_scale = pinned[1][0], pinned[2][0]
+    assert int_scale == float_scale
+    assert int_scale.key() != float_scale.key()
+    # The memo never leaks into equality, hashing or the repr.
+    fresh = SweepPoint("histogram", ExecMode.NS, SystemConfig.ooo8(),
+                       scale=SCALE)
+    assert fresh == pinned[0][0] and hash(fresh) == hash(pinned[0][0])
+    assert "_key" not in repr(pinned[0][0])

@@ -236,3 +236,79 @@ def test_failure_records_carry_truncated_tracebacks(tmp_path):
     assert clip_traceback("short") == "short"
     clipped = clip_traceback("x" * 5000 + "TAIL")
     assert clipped.endswith("TAIL") and len(clipped) < 5000
+
+
+#: Child sweep at jobs=2 whose points append the running process's pid
+#: to a file (argv[1]) and then sleep, so the test learns the pool's
+#: worker pids while they are busy.
+_POOL_CHILD = """
+import os, sys, time
+import repro.sim.run as run_mod
+_real = run_mod.run_workload
+def _slow(*args, **kwargs):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{{os.getpid()}}\\n")
+    time.sleep(0.5)
+    return _real(*args, **kwargs)
+run_mod.run_workload = _slow
+from repro.config import SystemConfig
+from repro.eval.sweep import SweepPoint, run_sweep
+from repro.offload.modes import ExecMode
+system = SystemConfig.ooo8()
+points = [SweepPoint(w, m, system, scale={scale!r})
+          for w in {workloads!r}
+          for m in (ExecMode.BASE, ExecMode.NS)]
+run_sweep(points, jobs=2)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_sigkilled_driver_leaves_no_pool_workers(tmp_path):
+    """A jobs=2 driver killed with SIGKILL takes its pool workers with
+    it: each worker notices its parent is gone and exits promptly."""
+    pid_file = tmp_path / "pids"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    code = _POOL_CHILD.format(scale=SCALE, workloads=WORKLOADS)
+    child = subprocess.Popen([sys.executable, "-c", code, str(pid_file)],
+                             cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 120.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            if pid_file.exists():
+                workers = {int(line) for line in
+                           pid_file.read_text().split()} - {child.pid}
+            time.sleep(0.05)
+        assert len(workers) == 2, f"saw worker pids {sorted(workers)}"
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+
+    deadline = time.monotonic() + 15.0
+    left = set(workers)
+    while left and time.monotonic() < deadline:
+        left = {pid for pid in left if _alive(pid)}
+        time.sleep(0.1)
+    for pid in left:  # never leak them past the test, even on failure
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not left, f"pool workers {sorted(left)} outlived their driver"

@@ -1,10 +1,11 @@
 """Storage-chaos property suite (ISSUE 9 acceptance criteria).
 
 Under seeded ENOSPC / torn-write / byte-flip / EACCES / stall injection
-at the cache store, every layer above — result, build, replay, and stats
-caches, and the sweep harness on top of them — must degrade to
-quarantine-and-recompute with **zero result divergence**: a chaos run's
-SimResults are bit-identical (``to_dict``-equal) to a fault-free run's.
+at the cache store, every layer above — result and replay (trace plus
+stream geometry) caches, and the sweep harness on top of them — must
+degrade to quarantine-and-recompute with **zero result divergence**: a
+chaos run's SimResults are bit-identical (``to_dict``-equal) to a
+fault-free run's.
 
 The whole suite runs under the strict protocol sanitizer
 (``conftest.py`` sets ``$REPRO_TRACE=1``), so chaos-path recomputation
@@ -139,10 +140,10 @@ def test_stall_only_delays(tmp_path):
 # The property: zero result divergence under chaos
 # ----------------------------------------------------------------------
 def test_sweep_under_chaos_is_bit_identical(tmp_path):
-    """All four cache kinds under all five faults: results never diverge.
+    """Both cache kinds under all five faults: results never diverge.
 
-    The chaotic sweep exercises every store path (replay + stats + build
-    via the worker groups, results via the harness) with faults on ~35%
+    The chaotic sweep exercises every store path (replay via the worker
+    groups, results via the harness) with faults on ~35%
     of operations; whatever the cache loses is recomputed, so the final
     SweepResults must equal the fault-free run's exactly, and the sweep
     must report zero failures — storage chaos is never a sweep failure.

@@ -104,13 +104,13 @@ def test_check_stage_totals_min_coverage():
 def test_run_workload_stage_totals_within_wall_time():
     """The run's stages are disjoint, so they must sum to <= wall time."""
     start = time.perf_counter()
-    r = run_workload("memset", scale=SCALE, use_build_cache=False)
+    r = run_workload("memset", scale=SCALE, use_replay=False)
     wall = time.perf_counter() - start
     assert check_stage_totals(r.profile, wall, slack=0.10) <= wall * 1.10
 
 
 def test_run_workload_populates_profile():
-    r = run_workload("memset", scale=SCALE, use_build_cache=False)
+    r = run_workload("memset", scale=SCALE, use_replay=False)
     assert "run.build" in r.profile
     assert "phase.sample_caches" in r.profile
     assert "phase.timing" in r.profile
@@ -140,7 +140,7 @@ def test_warm_run_profile_is_near_complete(tmp_path, monkeypatch):
                   "phase.timing"):
         assert stage in r.profile, stage
     assert "run.build" not in r.profile               # replayed
-    assert "run.record_stats" not in r.profile        # bundle loaded
+    assert "run.store" not in r.profile               # entry complete
     # Tiny runs carry fixed per-stage timer noise, so the bar here is
     # deliberately below the CI smoke's 95% on real-sized runs.
     assert check_stage_totals(r.profile, wall, slack=0.10,
@@ -150,5 +150,5 @@ def test_warm_run_profile_is_near_complete(tmp_path, monkeypatch):
 def test_profile_excluded_from_result_dict():
     """to_dict stays schema-stable: host-side timings never enter it, so
     cached results and JSON consumers are unaffected."""
-    r = run_workload("memset", scale=SCALE, use_build_cache=False)
+    r = run_workload("memset", scale=SCALE, use_replay=False)
     assert "profile" not in r.to_dict()

@@ -11,7 +11,7 @@ the online ProtocolSanitizer — including the exact per-MessageType count
 cross-check at ``finish()`` — over every replayed run here.
 """
 
-import os
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.eval import result_cache
-from repro.eval.result_cache import ResultCache, config_fingerprint
+from repro.eval.result_cache import ResultCache
 from repro.eval.sweep import SweepPoint, _group_key, run_sweep
 from repro.fault.plan import FaultPlan
 from repro.mem.address import AddressSpace
@@ -28,7 +28,7 @@ from repro.offload.modes import ExecMode
 from repro.sim.replay import FunctionalTrace, record_trace
 from repro.sim.run import run_workload
 from repro.workloads import all_workload_names, make_workload
-from repro.workloads.build_cache import load_trace_cached, trace_key
+from repro.workloads.build_cache import load_or_record, trace_key
 
 SCALE = 1.0 / 256.0
 ALL_WORKLOADS = all_workload_names()
@@ -94,12 +94,12 @@ def test_replay_equivalence_property(tmp_path_factory, workload, mode, seed):
     config = SystemConfig.ooo8()
     cache = ResultCache(root)
     live = _live(workload, mode, config, seed=seed)
-    trace = record_trace(
-        make_built(workload, config, seed), config_fingerprint(config))
+    trace = record_trace(make_built(workload, config, seed))
     cache.store(trace_key(workload, SCALE, seed, config), trace,
                 kind="replay")
-    loaded = load_trace_cached(workload, SCALE, seed, config, cache=cache)
-    assert isinstance(loaded, FunctionalTrace)
+    loaded = load_or_record(workload, SCALE, seed, config, cache)
+    assert isinstance(loaded, FunctionalTrace) and loaded is not trace
+    assert cache.hits == 1
     replayed = run_workload(loaded, mode, config=config, scale=SCALE,
                             seed=seed)
     _assert_identical(live, replayed)
@@ -129,7 +129,7 @@ def test_trace_roundtrips_through_pickle():
 
     config = SystemConfig.ooo8()
     wl = make_built("hash_join", config, 42)
-    trace = record_trace(wl, config_fingerprint(config))
+    trace = record_trace(wl)
     clone = pickle.loads(pickle.dumps(trace))
     assert clone.workload == trace.workload
     assert clone.schema == trace.schema
@@ -159,11 +159,12 @@ def test_trace_roundtrips_through_pickle():
 
 def test_replay_refuses_mismatched_config():
     config = SystemConfig.ooo8()
-    other = SystemConfig.ooo8(cores=16)
     wl = make_built("bfs_push", config, 42)
-    trace = record_trace(wl, config_fingerprint(config))
-    with pytest.raises(ValueError, match="different SystemConfig"):
-        run_workload(trace, ExecMode.NS, config=other, scale=SCALE)
+    trace = record_trace(wl)
+    for other in (SystemConfig.ooo8(cores=16),
+                  dataclasses.replace(config, use_huge_pages=False)):
+        with pytest.raises(ValueError, match="different address layout"):
+            run_workload(trace, ExecMode.NS, config=other, scale=SCALE)
 
 
 def test_poisoned_trace_quarantines_and_falls_back(cache_dir):
@@ -191,13 +192,18 @@ def test_poisoned_trace_quarantines_and_falls_back(cache_dir):
 
 
 def test_foreign_value_under_trace_key_is_a_miss(cache_dir):
-    """A valid envelope holding the wrong type must not be replayed."""
+    """A valid envelope holding the wrong type must not be replayed:
+    the trace is recorded afresh instead."""
+    from repro.sim.profiler import Profiler
+
     config = SystemConfig.ooo8()
     cache = result_cache.get_default_cache()
     cache.store(trace_key("bfs_push", SCALE, 42, config),
                 {"not": "a trace"}, kind="replay")
-    assert load_trace_cached("bfs_push", SCALE, 42, config,
-                             cache=cache) is None
+    profiler = Profiler()
+    trace = load_or_record("bfs_push", SCALE, 42, config, cache, profiler)
+    assert isinstance(trace, FunctionalTrace)
+    assert "run.record" in profiler.stages
 
 
 def test_no_replay_env_disables_fast_path(cache_dir, monkeypatch):
@@ -207,7 +213,7 @@ def test_no_replay_env_disables_fast_path(cache_dir, monkeypatch):
                           scale=SCALE)
     assert "run.replay" not in result.profile
     assert "run.record" not in result.profile
-    assert load_trace_cached("bfs_push", SCALE, 42, config) is None
+    assert not cache_dir.exists()  # the store was never touched
     monkeypatch.delenv("REPRO_NO_REPLAY")
     live = _live("bfs_push", ExecMode.NS, config)
     _assert_identical(live, result)

@@ -1,13 +1,14 @@
-"""The persistent derived-geometry (stats) bundle must be invisible:
-loading it is bit-identical to recomputing from the trace.
+"""The derived stream geometry stored with each functional trace must be
+invisible: loading it is bit-identical to recomputing from the trace.
 
 Same discipline as the replay-equivalence suite: the optimized path
-(compute stream geometry once, persist, reuse on every later run of any
-mode) is property-tested against fresh computation for every workload on
-the paper's mesh sweep axis {4x4, 8x8, 32x32}, under the suite-wide
-strict sanitizer (``$REPRO_TRACE=1``).  Corruption, schema drift, and
-config-fingerprint mismatches must all degrade to recomputation — never
-to a wrong answer.
+(compute stream geometry once, store it inside the trace's entry, reuse
+it on every later run of any mode or SE knob) is property-tested against
+fresh computation for every workload on the paper's mesh sweep axis
+{4x4, 8x8, 32x32}, under the suite-wide strict sanitizer
+(``$REPRO_TRACE=1``).  Corruption, schema drift, and layout mismatches
+must all degrade to recomputation or a clear error — never to a wrong
+answer.
 """
 
 import dataclasses
@@ -18,14 +19,15 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.eval import result_cache
-from repro.eval.result_cache import KIND_STATS
+from repro.eval.result_cache import KIND_REPLAY
 from repro.offload.modes import ExecMode
 from repro.sim.machine import Machine
+from repro.sim.replay import REPLAY_SCHEMA
 from repro.sim.run import run_workload
 from repro.sim.tracestats import compute_phase_stats, hops_matrix
 from repro.workloads import all_workload_names
-from repro.workloads.build_cache import load_stats_cached, \
-    load_trace_cached, stats_key, store_stats_cached
+from repro.workloads.build_cache import load_or_record, save_trace, \
+    trace_key
 
 SCALE = 1.0 / 256.0
 ALL_WORKLOADS = all_workload_names()
@@ -45,6 +47,12 @@ def cache_dir(tmp_path, monkeypatch):
 
 def _entry_path(cache_dir, key):
     return cache_dir / key[:2] / f"{key}.pkl"
+
+
+def _stored(workload, config):
+    """The trace entry as stored (None on a miss)."""
+    return result_cache.get_default_cache().lookup(
+        trace_key(workload, SCALE, 42, config))
 
 
 def _assert_stream_stats_equal(unpacked, fresh):
@@ -72,28 +80,28 @@ def _assert_stream_stats_equal(unpacked, fresh):
 @pytest.mark.parametrize("mesh", MESHES)
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_stats_bundle_bit_identical(workload, mesh, cache_dir):
-    """All 14 workloads x {4x4, 8x8, 32x32}: cold == warm, and the
-    persisted bundle unpacks to exactly what a fresh computation gives."""
+    """All 14 workloads x {4x4, 8x8, 32x32}: cold == warm, and the stored
+    stats unpack to exactly what a fresh computation gives."""
     config = SystemConfig.paper_mesh(mesh)
     cold = run_workload(workload, config=config, scale=SCALE)
-    assert "run.record_stats" in cold.profile
+    assert "run.store" in cold.profile
     warm = run_workload(workload, config=config, scale=SCALE)
-    assert "run.record_stats" not in warm.profile  # loaded, not rebuilt
+    assert "run.store" not in warm.profile  # loaded, not rebuilt
+    assert "run.build" not in warm.profile
     assert warm.to_dict() == cold.to_dict()
     if warm.trace is not None:
         assert warm.trace.violations == 0
 
-    # Unpack the bundle directly and compare against a from-scratch
-    # computation, stream by stream, array by array.  This is the
-    # mode-independence proof: every mode consumes these same objects.
-    trace = load_trace_cached(workload, SCALE, 42, config)
-    bundle = load_stats_cached(workload, SCALE, 42, config)
-    assert bundle is not None
-    assert len(bundle.phases) == len(trace.phases)
+    # Unpack the stored stats directly and compare against a
+    # from-scratch computation, stream by stream, array by array.  This
+    # is the mode-independence proof: every mode consumes these objects.
+    trace = _stored(workload, config)
+    assert trace.stats is not None
+    assert len(trace.stats) == len(trace.phases)
     machine = Machine.build(config, sample_cores=4, data_scale=SCALE)
     hmat = hops_matrix(machine.mesh)
     for i, (phase, _) in enumerate(trace.phase_programs()):
-        unpacked = bundle.phases[i].to_stats(phase, machine.mesh)
+        unpacked = trace.stats[i].to_stats(phase, machine.mesh)
         fresh = compute_phase_stats(phase.traces, trace.space,
                                     machine.mesh, hmat,
                                     config.page_bytes)
@@ -101,72 +109,74 @@ def test_stats_bundle_bit_identical(workload, mesh, cache_dir):
 
 
 @pytest.mark.parametrize("mesh", MESHES)
-def test_cross_mode_warm_equals_uncached(mesh, cache_dir, monkeypatch):
-    """Every mode replayed from the persisted bundle matches the same
-    mode with the stats cache disabled (geometry recomputed)."""
+def test_cross_mode_warm_equals_uncached(mesh, cache_dir):
+    """Every mode replayed with the stored stats matches the same mode
+    replaying a copy of the trace without them (geometry recomputed)."""
     config = SystemConfig.paper_mesh(mesh)
     run_workload("bfs_push", config=config, scale=SCALE)  # populate
     for mode in (ExecMode.BASE, ExecMode.INST, ExecMode.NS,
                  ExecMode.NS_DECOUPLE):
-        monkeypatch.delenv("REPRO_NO_STATS_CACHE", raising=False)
         warm = run_workload("bfs_push", mode, config=config, scale=SCALE)
-        assert "run.record_stats" not in warm.profile
-        monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-        live = run_workload("bfs_push", mode, config=config, scale=SCALE)
+        assert "run.store" not in warm.profile
+        bare = dataclasses.replace(_stored("bfs_push", config), stats=None)
+        live = run_workload(bare, mode, config=config, scale=SCALE)
         assert warm.to_dict() == live.to_dict()
 
 
 def test_poisoned_bundle_quarantines_and_recomputes(cache_dir):
+    """Poisoning the combined entry quarantines it; the next run
+    rebuilds, recomputes geometry and stores a good entry again."""
     config = SystemConfig.ooo8()
     cold = run_workload("histogram", config=config, scale=SCALE)
-    key = stats_key("histogram", SCALE, 42, config)
-    path = _entry_path(cache_dir, key)
+    path = _entry_path(cache_dir, trace_key("histogram", SCALE, 42, config))
     assert path.exists()
     path.write_bytes(b"this is not a checksummed envelope")
 
     again = run_workload("histogram", config=config, scale=SCALE)
     assert again.to_dict() == cold.to_dict()
-    # The corrupt entry moved aside, the run recomputed geometry and
-    # re-recorded a good bundle in its place.
+    # The corrupt entry moved aside, the run rebuilt, recomputed
+    # geometry and re-recorded a good entry in its place.
     assert list((cache_dir / "quarantine").glob("*.pkl"))
-    assert "run.record_stats" in again.profile
-    assert load_stats_cached("histogram", SCALE, 42, config) is not None
+    assert "run.build" in again.profile and "run.store" in again.profile
+    assert _stored("histogram", config).stats is not None
 
 
 def test_foreign_payload_under_stats_key_is_a_miss(cache_dir):
-    """A valid pickle that is not a StatsBundle never reaches a run."""
+    """A stale-schema trace or a foreign value under the key never
+    reaches a run: it is re-recorded."""
     config = SystemConfig.ooo8()
     run_workload("memset", config=config, scale=SCALE)
-    key = stats_key("memset", SCALE, 42, config)
-    result_cache.get_default_cache().store(key, {"not": "a bundle"},
-                                           kind=KIND_STATS)
-    assert load_stats_cached("memset", SCALE, 42, config) is None
+    cache = result_cache.get_default_cache()
+    key = trace_key("memset", SCALE, 42, config)
+    stale = dataclasses.replace(_stored("memset", config),
+                                schema=REPLAY_SCHEMA - 1)
+    for value in (stale, {"not": "a trace"}):
+        cache.store(key, value, kind=KIND_REPLAY)
+        got = load_or_record("memset", SCALE, 42, config, cache)
+        assert got.schema == REPLAY_SCHEMA and got.stats is None
 
 
 def test_config_fingerprint_mismatch_rejected(cache_dir):
-    """A bundle derived under a different config must never be adopted —
-    it would carry that config's banks and hop counts."""
+    """Stored geometry is bound to the address layout: a trace from
+    another mesh is refused (wrong banks and hops), one from another SE
+    knob on the same layout is replayed."""
     config = SystemConfig.ooo8()
     run_workload("vecsum", config=config, scale=SCALE)
-    bundle = load_stats_cached("vecsum", SCALE, 42, config)
-    assert bundle is not None
+    trace = _stored("vecsum", config)
+    assert trace.stats is not None
 
-    forged = dataclasses.replace(bundle, config_fp="0" * 64)
-    key = stats_key("vecsum", SCALE, 42, config)
-    result_cache.get_default_cache().store(key, forged, kind=KIND_STATS)
-    assert load_stats_cached("vecsum", SCALE, 42, config) is None
-
-    trace = load_trace_cached("vecsum", SCALE, 42, config)
-    assert trace.adopt_stats(forged) is False
-    assert not trace.has_stats_bundle
-    # The genuine bundle is adopted.
-    assert trace.adopt_stats(bundle) is True
-    assert trace.has_stats_bundle
-
-    # A different config keys differently as well: nothing to load.
     other = SystemConfig.paper_mesh(4)
-    assert stats_key("vecsum", SCALE, 42, other) != key
-    assert load_stats_cached("vecsum", SCALE, 42, other) is None
+    assert trace_key("vecsum", SCALE, 42, other) != \
+        trace_key("vecsum", SCALE, 42, config)
+    assert _stored("vecsum", other) is None
+    with pytest.raises(ValueError, match="different address layout"):
+        run_workload(trace, config=other, scale=SCALE)
+
+    knob = config.with_se(scc_rob_entries=8)
+    assert _stored("vecsum", knob) is not None
+    replayed = run_workload(trace, config=knob, scale=SCALE)
+    assert replayed.to_dict() == run_workload(
+        "vecsum", config=knob, scale=SCALE, use_replay=False).to_dict()
 
 
 def test_stale_bundle_falls_back_to_recompute(cache_dir):
@@ -174,79 +184,73 @@ def test_stale_bundle_falls_back_to_recompute(cache_dir):
     at unpack, which ``stats_for`` treats as a miss."""
     config = SystemConfig.ooo8()
     run_workload("srad", config=config, scale=SCALE)
-    bundle = load_stats_cached("srad", SCALE, 42, config)
-    pack = bundle.phases[0]
+    trace = _stored("srad", config)
+    pack = trace.stats[0]
     renamed = dataclasses.replace(pack, names=["bogus"] * len(pack.names))
-    trace = load_trace_cached("srad", SCALE, 42, config)
     phase, _ = trace.phase_programs()[0]
     machine = Machine.build(config, sample_cores=4, data_scale=SCALE)
     with pytest.raises(ValueError):
         renamed.to_stats(phase, machine.mesh)
 
-    # End to end: adopt the doctored bundle; the run must still be
-    # bit-identical because stats_for degrades to recomputing.
-    stale = dataclasses.replace(bundle, phases=[renamed]
-                                + list(bundle.phases[1:]))
-    trace.adopt_stats(stale)
+    # End to end: replay a trace carrying the doctored pack; the run
+    # must still be bit-identical because stats_for degrades to
+    # recomputing.
+    trace.stats = [renamed] + list(trace.stats[1:])
     doctored = run_workload(trace, config=config, scale=SCALE)
     clean = run_workload("srad", config=config, scale=SCALE)
     assert doctored.to_dict() == clean.to_dict()
 
 
-def test_env_var_disables_stats_cache(cache_dir, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-    off_a = run_workload("histogram", scale=SCALE)
-    off_b = run_workload("histogram", scale=SCALE)
-    assert off_a.to_dict() == off_b.to_dict()
-    assert "run.record_stats" not in off_a.profile
+def test_stats_ride_inside_the_replay_entry(cache_dir):
+    """One entry per trace: the cold run writes exactly one replay
+    entry (no build or stats kinds), the warm run writes nothing."""
+    cold = run_workload("histogram", scale=SCALE)
     cache = result_cache.get_default_cache()
     kinds = cache.disk_stats(by_kind=True)["kinds"]
-    assert "stats" not in kinds  # replay + build only
-
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
-    on = run_workload("histogram", scale=SCALE)
-    assert on.to_dict() == off_a.to_dict()
-    assert "run.record_stats" in on.profile
-    kinds = cache.disk_stats(by_kind=True)["kinds"]
-    assert kinds["stats"]["entries"] == 1
+    assert {k: v["entries"] for k, v in kinds.items()} == {"replay": 1}
+    written = cache.bytes_written
+    warm = run_workload("histogram", scale=SCALE)
+    assert warm.to_dict() == cold.to_dict()
+    assert cache.bytes_written == written
 
 
 def test_bundle_survives_pickle_but_trace_memo_does_not(cache_dir):
-    """The persisted artifact round-trips; the in-process memo and the
-    adopted bundle never leak into a pickled FunctionalTrace."""
+    """The stored stats round-trip; the in-process memo never leaks into
+    a pickled FunctionalTrace."""
     config = SystemConfig.ooo8()
     run_workload("hash_join", config=config, scale=SCALE)
-    bundle = load_stats_cached("hash_join", SCALE, 42, config)
-    clone = pickle.loads(pickle.dumps(bundle))
-    assert clone.workload == bundle.workload
-    assert clone.config_fp == bundle.config_fp
-    assert clone.nbytes == bundle.nbytes
-
-    trace = load_trace_cached("hash_join", SCALE, 42, config)
-    assert trace.adopt_stats(bundle)
-    revived = pickle.loads(pickle.dumps(trace))
-    assert not revived.has_stats_bundle
-    assert revived._stats == {}
+    trace = _stored("hash_join", config)
+    run_workload(trace, config=config, scale=SCALE)   # fills the memo
+    assert trace._stats
+    clone = pickle.loads(pickle.dumps(trace))
+    assert clone.workload == trace.workload
+    assert clone.layout == trace.layout
+    assert clone.nbytes == trace.nbytes
+    assert len(clone.stats) == len(trace.stats)
+    assert clone._stats == {}
 
 
 def test_store_stats_requires_full_memo(cache_dir):
-    """export_stats returns None until a run populated every phase."""
+    """save_trace writes nothing until a run populated every phase."""
     config = SystemConfig.ooo8()
-    run_workload("bfs_push", config=config, scale=SCALE)
-    trace = load_trace_cached("bfs_push", SCALE, 42, config)
-    assert trace.export_stats() is None  # fresh load: memo empty
+    cache = result_cache.get_default_cache()
+    trace = load_or_record("bfs_push", SCALE, 42, config, cache)
+    assert not trace.pack_stats()            # fresh record: memo empty
+    assert not save_trace(trace, cache)
+    assert _stored("bfs_push", config) is None
 
     run_workload(trace, config=config, scale=SCALE)
-    bundle = trace.export_stats()
-    assert bundle is not None
-    assert store_stats_cached(bundle, config)
+    assert save_trace(trace, cache)
+    assert _stored("bfs_push", config).stats is not None
 
 
 def test_cache_stats_cli_reports_stats_kind(cache_dir, capsys):
+    """``repro cache stats`` shows the replay kind that now holds the
+    stream geometry, and no separate build or stats kind."""
     from repro.cli import main
 
     run_workload("histogram", scale=SCALE)
     assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
-    assert "stats" in out
-    assert "replay" in out and "build" in out
+    assert "replay  : 1" in out
+    assert "build" not in out and "stats   :" not in out
