@@ -6,23 +6,21 @@ The public API in one import::
     result = run_workload("bfs_push", ExecMode.NS)
 
 See README.md for the architecture tour and DESIGN.md for the model's
-fidelity contract.
+fidelity contract.  Names resolve on first use (PEP 562), so importing
+``repro`` or any of its subpackages loads no simulator code by itself.
 """
 
-from repro.config import SystemConfig
-from repro.offload import ExecMode
-from repro.sim import SimResult, ideal_traffic, run_workload
-from repro.workloads import all_workload_names, make_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SystemConfig",
-    "ExecMode",
-    "SimResult",
-    "run_workload",
-    "ideal_traffic",
-    "make_workload",
-    "all_workload_names",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SystemConfig": "repro.config.system",
+    "ExecMode": "repro.offload.modes",
+    "SimResult": "repro.sim.results",
+    "run_workload": "repro.sim.run",
+    "ideal_traffic": "repro.sim.ideal",
+    "make_workload": "repro.workloads.base",
+    "all_workload_names": "repro.workloads.base",
+})
+__all__ = __all__ + ["__version__"]

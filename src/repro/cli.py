@@ -42,39 +42,20 @@ progress — bit-identical results to ``repro sweep`` on the same points.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-import numpy as _np
-
-from repro.engine.stats import geomean
-from repro.eval import (
-    EvalConfig,
-    fig1a_stream_op_breakdown,
-    fig1b_ideal_traffic,
-    fig9_overall_speedup,
-    fig11_offload_fractions,
-    fig12_traffic_breakdown,
-    fig15_affine_range_generation,
-    fig16_lock_types,
-    fig17_scalar_pe,
-    format_table,
-    table1_capabilities,
-    table2_patterns,
-    table3_stream_isas,
-    table4_encoding,
-    table5_system,
-    table6_workloads,
-)
-from repro.compiler import compile_kernel
-from repro.compiler.dump import dump_program
-from repro.config import SystemConfig
+# Only numpy-free leaf modules load here; each handler imports what it
+# runs, so ``repro list`` loads no simulator and a cached ``repro run``
+# only what unpickling its result needs (DESIGN.md §5i).
+from repro.config.system import SystemConfig
+from repro.eval.report import format_table
 from repro.eval.result_cache import ResultCache, get_default_cache, \
     set_default_cache
 from repro.eval.sweep import SweepPoint, SweepResults, run_sweep
-from repro.mem.address import AddressSpace
-from repro.offload import ExecMode
-from repro.workloads import all_workload_names, make_workload
+from repro.offload.modes import ExecMode
+from repro.workloads import WORKLOAD_NAMES
 
 MODES = {mode.value: mode for mode in ExecMode}
 
@@ -114,9 +95,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _check_workload(name: str) -> bool:
     """Validate a workload name, printing the did-you-mean hint if bad.
 
-    Bad names exit with a short stderr message (and difflib suggestion
-    from the registry) instead of an argparse usage dump or a traceback.
+    The paper's workloads pass on the static name table; any other name
+    asks the registry, which knows the micro-kernels and registered
+    extras.  Bad names exit with a short stderr message (and difflib
+    suggestion from the registry) instead of an argparse usage dump or
+    a traceback.
     """
+    if name in WORKLOAD_NAMES:
+        return True
+    from repro.workloads.base import make_workload
     try:
         make_workload(name)
         return True
@@ -216,7 +203,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_list(_args) -> int:
     """List available workloads and execution modes."""
-    print("workloads:", " ".join(all_workload_names()))
+    print("workloads:", " ".join(WORKLOAD_NAMES))
     print("modes:    ", " ".join(MODES))
     return 0
 
@@ -277,6 +264,10 @@ def cmd_compile(args) -> int:
     """Show what the near-stream compiler makes of a workload's kernels."""
     if not _check_workload(args.workload):
         return 2
+    from repro.compiler.dump import dump_program
+    from repro.compiler.program import compile_kernel
+    from repro.mem.address import AddressSpace
+    from repro.workloads.base import make_workload
     wl = make_workload(args.workload, scale=args.scale, seed=args.seed)
     wl.build(AddressSpace(SystemConfig.ooo8()))
     for phase in wl.phases():
@@ -287,6 +278,9 @@ def cmd_compile(args) -> int:
 
 def cmd_table(args) -> int:
     """Print one of the paper's qualitative tables (I-VI)."""
+    from repro.eval.tables import (table1_capabilities, table2_patterns,
+                                   table3_stream_isas, table4_encoding,
+                                   table5_system, table6_workloads)
     tables = {
         "1": table1_capabilities,
         "2": table2_patterns,
@@ -305,6 +299,11 @@ def cmd_table(args) -> int:
 
 def cmd_fig(args) -> int:
     """Regenerate one of the paper's figures as a text table."""
+    from repro.eval.experiments import (
+        EvalConfig, fig1a_stream_op_breakdown, fig1b_ideal_traffic,
+        fig9_overall_speedup, fig11_offload_fractions,
+        fig12_traffic_breakdown, fig15_affine_range_generation,
+        fig16_lock_types, fig17_scalar_pe)
     cache = _sweep_cache(args)
     cfg = EvalConfig(scale=args.scale, seed=args.seed,
                      workloads=tuple(args.workloads or ()),
@@ -368,6 +367,12 @@ def cmd_fig(args) -> int:
 def cmd_report(args) -> int:
     """Run the headline experiments and print the paper-comparison block."""
     import time as _time
+
+    import numpy as _np
+
+    from repro.eval.experiments import (
+        EvalConfig, fig1b_ideal_traffic, fig9_overall_speedup,
+        fig11_offload_fractions, fig12_traffic_breakdown)
     cache = _sweep_cache(args)
     cfg = EvalConfig(scale=args.scale, seed=args.seed,
                      workloads=tuple(args.workloads or ()),
@@ -875,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run on an NxN mesh (paper_mesh preset)")
     _add_common(sweep_p)
 
-    from repro.eval.service.daemon import DEFAULT_SOCKET
+    from repro.eval.service import DEFAULT_SOCKET
     serve_p = sub.add_parser(
         "serve", help="long-lived sweep daemon on a unix socket")
     serve_p.add_argument("--socket", default=DEFAULT_SOCKET,
@@ -1021,13 +1026,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # Validate $REPRO_PROTOCOL_ENGINE before any sweep fans out: a typo
     # would otherwise fail inside worker processes and surface as an
-    # opaque failed sweep point instead of this one-line hint.
-    try:
+    # opaque failed sweep point instead of this one-line hint.  Unset
+    # means the default engine, so only a set value loads the protocol.
+    if os.environ.get("REPRO_PROTOCOL_ENGINE"):
         from repro.llc.rangesync import resolve_engine
-        resolve_engine()
-    except ValueError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+        try:
+            resolve_engine()
+        except ValueError as exc:
+            print(f"repro: {exc}", file=sys.stderr)
+            return 2
     handlers = {"list": cmd_list, "run": cmd_run, "compare": cmd_compare,
                 "compile": cmd_compile, "table": cmd_table, "fig": cmd_fig,
                 "report": cmd_report, "cache": cmd_cache,

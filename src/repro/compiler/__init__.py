@@ -18,31 +18,19 @@ per-stream and residual micro-op accounting (the substance of Fig 1a/11), and
 the transform flags each execution mode needs.
 """
 
-from repro.compiler.ir import (
-    AffineAccess,
-    Atomic,
-    BinOp,
-    IndirectAccess,
-    Kernel,
-    Load,
-    Loop,
-    PointerChaseAccess,
-    Reduce,
-    Store,
-)
-from repro.compiler.program import StreamProgram, compile_kernel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Kernel",
-    "Loop",
-    "Load",
-    "Store",
-    "Atomic",
-    "BinOp",
-    "Reduce",
-    "AffineAccess",
-    "IndirectAccess",
-    "PointerChaseAccess",
-    "StreamProgram",
-    "compile_kernel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AffineAccess": "repro.compiler.ir",
+    "Atomic": "repro.compiler.ir",
+    "BinOp": "repro.compiler.ir",
+    "IndirectAccess": "repro.compiler.ir",
+    "Kernel": "repro.compiler.ir",
+    "Load": "repro.compiler.ir",
+    "Loop": "repro.compiler.ir",
+    "PointerChaseAccess": "repro.compiler.ir",
+    "Reduce": "repro.compiler.ir",
+    "Store": "repro.compiler.ir",
+    "StreamProgram": "repro.compiler.program",
+    "compile_kernel": "repro.compiler.program",
+})

@@ -10,26 +10,16 @@ machine parameters. Presets mirror the paper's three core types::
 Every field defaults to the value in Table V of the paper.
 """
 
-from repro.config.system import (
-    AddressLayout,
-    CacheConfig,
-    CoreConfig,
-    CoreType,
-    DramConfig,
-    NocConfig,
-    PrefetcherConfig,
-    SEConfig,
-    SystemConfig,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressLayout",
-    "CacheConfig",
-    "CoreConfig",
-    "CoreType",
-    "DramConfig",
-    "NocConfig",
-    "PrefetcherConfig",
-    "SEConfig",
-    "SystemConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AddressLayout": "repro.config.system",
+    "CacheConfig": "repro.config.system",
+    "CoreConfig": "repro.config.system",
+    "CoreType": "repro.config.system",
+    "DramConfig": "repro.config.system",
+    "NocConfig": "repro.config.system",
+    "PrefetcherConfig": "repro.config.system",
+    "SEConfig": "repro.config.system",
+    "SystemConfig": "repro.config.system",
+})

@@ -11,15 +11,13 @@
   ROB and issue constraints (Figs 13/14 sensitivity).
 """
 
-from repro.core.pipeline import CoreWork, MemStall, PipelineModel
-from repro.core.se_core import PrefetchElementBuffer, SECore
-from repro.core.scm import ScmModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PipelineModel",
-    "CoreWork",
-    "MemStall",
-    "SECore",
-    "PrefetchElementBuffer",
-    "ScmModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CoreWork": "repro.core.pipeline",
+    "MemStall": "repro.core.pipeline",
+    "PipelineModel": "repro.core.pipeline",
+    "PrefetchElementBuffer": "repro.core.se_core",
+    "SECore": "repro.core.se_core",
+    "ScmModel": "repro.core.scm",
+})

@@ -1,5 +1,9 @@
 """Energy and area models (McPAT/CACTI substitute at 22 nm)."""
 
-from repro.energy.model import AreaModel, EnergyLedger, EnergyModel
+from repro._lazy import lazy_exports
 
-__all__ = ["EnergyModel", "EnergyLedger", "AreaModel"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AreaModel": "repro.energy.model",
+    "EnergyLedger": "repro.energy.model",
+    "EnergyModel": "repro.energy.model",
+})

@@ -16,16 +16,14 @@ The near-stream protocol (credits / ranges / commits) runs on this engine at
 *chunk* granularity, so event counts stay small even for long streams.
 """
 
-from repro.engine.event import Event, EventQueue
-from repro.engine.sim import Component, Simulator
-from repro.engine.stats import Counter, Distribution, StatGroup
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Component",
-    "Simulator",
-    "Counter",
-    "Distribution",
-    "StatGroup",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Event": "repro.engine.event",
+    "EventQueue": "repro.engine.event",
+    "Component": "repro.engine.sim",
+    "Simulator": "repro.engine.sim",
+    "Counter": "repro.engine.stats",
+    "Distribution": "repro.engine.stats",
+    "StatGroup": "repro.engine.stats",
+})

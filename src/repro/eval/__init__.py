@@ -4,14 +4,14 @@
 tables; ``report`` formats text tables. The benchmark suite under
 ``benchmarks/`` calls these and prints paper-shaped output.
 
-Exports resolve lazily (PEP 562): importing one submodule — e.g. the
-result cache from the replay fast path — must not drag in the whole
-experiment suite, which costs ~50 ms of import time on every warm run.
+Exports resolve lazily (PEP 562), as in every ``repro`` package:
+importing one submodule — e.g. the result cache from the replay fast
+path — must not drag in the whole experiment suite.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
-_EXPORTS = {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "EvalConfig": "repro.eval.experiments",
     "fig1a_stream_op_breakdown": "repro.eval.experiments",
     "fig1b_ideal_traffic": "repro.eval.experiments",
@@ -45,20 +45,4 @@ _EXPORTS = {
     "table4_encoding": "repro.eval.tables",
     "table5_system": "repro.eval.tables",
     "table6_workloads": "repro.eval.tables",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+})

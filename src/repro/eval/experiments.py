@@ -8,27 +8,36 @@ several figures share the same runs.
 All drivers funnel through :func:`repro.eval.sweep.run_sweep`, so
 ``EvalConfig(jobs=N)`` parallelizes any figure and
 ``EvalConfig(use_cache=True)`` persists results across processes.
+
+A figure served from the result cache never imports the simulation
+engine: :func:`~repro.sim.ideal.ideal_traffic` and
+:func:`~repro.sim.run.run_workload` resolve on first use (PEP 562), and
+Fig 1b calls ``ideal_traffic`` through this module's attribute so a
+wrapper installed on it sees every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SystemConfig
+from repro._lazy import lazy_exports
+from repro.config.system import SystemConfig
 from repro.engine.stats import geomean
 from repro.eval.result_cache import ResultCache, config_fingerprint, \
     get_default_cache
 from repro.eval.sweep import SweepPoint, run_sweep
 from repro.isa.instructions import UopKind
-from repro.mem.address import AddressSpace
-from repro.mem.locks import LockKind, LockModel, LockStats, \
-    contention_eliminated
-from repro.noc.message import MessageClass, MessageType
+from repro.mem.locks import contention_eliminated
 from repro.offload.modes import ExecMode
-from repro.sim import ideal_traffic, run_workload
 from repro.sim.results import SimResult
-from repro.workloads import Workload, all_workload_names, make_workload
+from repro.workloads import WORKLOAD_NAMES
+
+__getattr__, __dir__, _ = lazy_exports(__name__, {
+    "ideal_traffic": "repro.sim.ideal",
+    "run_workload": "repro.sim.run",
+})
 
 DEFAULT_MODES: Tuple[ExecMode, ...] = (
     ExecMode.BASE, ExecMode.INST, ExecMode.SINGLE, ExecMode.NS_CORE,
@@ -61,8 +70,7 @@ class EvalConfig:
     use_cache: bool = False
 
     def workload_names(self) -> List[str]:
-        return list(self.workloads) if self.workloads \
-            else all_workload_names()
+        return list(self.workloads or WORKLOAD_NAMES)
 
     def system(self) -> SystemConfig:
         return self.config or SystemConfig.ooo8()
@@ -136,12 +144,22 @@ def fig1a_stream_op_breakdown(cfg: EvalConfig = EvalConfig()
 def fig1b_ideal_traffic(cfg: EvalConfig = EvalConfig()
                         ) -> Dict[str, Dict[str, float]]:
     """Bytes x hops of No-Priv$, Perf-Priv$ and Perf-Near-LLC, normalized
-    to No-Priv$."""
+    to No-Priv$.
+
+    Each workload's functional trace comes from the store when
+    ``cfg.use_cache`` is set (the one the figure sweeps recorded), else
+    it is recorded in memory; a trace recorded here is stored with its
+    geometry like any run's.
+    """
+    from repro.workloads.build_cache import load_or_record, save_trace
+    ideal = getattr(sys.modules[__name__], "ideal_traffic")
+    cache = cfg.result_cache()
     out: Dict[str, Dict[str, float]] = {}
     system = cfg.system()
     for name in cfg.workload_names():
-        raw = ideal_traffic(name, config=system, scale=cfg.scale,
-                            seed=cfg.seed, sample_cores=cfg.sample_cores)
+        trace = load_or_record(name, cfg.scale, cfg.seed, system, cache)
+        raw = ideal(trace, config=system, sample_cores=cfg.sample_cores)
+        save_trace(trace, cache)
         base = max(raw["no_priv"], 1e-9)
         out[name] = {k: v / base for k, v in raw.items()}
     return out

@@ -22,14 +22,23 @@ frontends on one engine (:func:`~repro.eval.sweep.schedule_jobs`);
 bit-identical results.
 """
 
-from repro.eval.service.jobstore import (DONE, FAILED, PENDING, RUNNING,
-                                         JobRecord, JobStore,
-                                         config_from_spec, config_to_spec,
-                                         point_from_spec, point_to_spec)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DONE", "FAILED", "PENDING", "RUNNING",
-    "JobRecord", "JobStore",
-    "config_from_spec", "config_to_spec",
-    "point_from_spec", "point_to_spec",
-]
+#: Default daemon socket path (relative to the working directory).  It
+#: lives here, not in the daemon module, so building the CLI parser
+#: loads no asyncio.
+DEFAULT_SOCKET = ".repro-serve.sock"
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DONE": "repro.eval.service.jobstore",
+    "FAILED": "repro.eval.service.jobstore",
+    "PENDING": "repro.eval.service.jobstore",
+    "RUNNING": "repro.eval.service.jobstore",
+    "JobRecord": "repro.eval.service.jobstore",
+    "JobStore": "repro.eval.service.jobstore",
+    "config_from_spec": "repro.eval.service.jobstore",
+    "config_to_spec": "repro.eval.service.jobstore",
+    "point_from_spec": "repro.eval.service.jobstore",
+    "point_to_spec": "repro.eval.service.jobstore",
+})
+__all__ = __all__ + ["DEFAULT_SOCKET"]

@@ -46,15 +46,13 @@ from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.eval.journal import EventLog, SweepJournal
 from repro.eval.result_cache import ResultCache
+from repro.eval.service import DEFAULT_SOCKET
 from repro.eval.service.jobstore import (DONE, FAILED, ORIGIN_JOURNAL,
                                          PENDING, RUNNING, JobStore,
                                          point_from_spec)
 from repro.eval.sweep import (FailedPoint, SweepPoint, clip_traceback,
                               schedule_jobs)
 from repro.offload.modes import ExecMode
-
-#: Default socket path (relative to the working directory).
-DEFAULT_SOCKET = ".repro-serve.sock"
 
 
 def _run_traced(spec: Dict[str, Any]) -> Dict[str, Any]:

@@ -48,23 +48,27 @@ from __future__ import annotations
 
 import os
 import signal as _signal
-import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, Union)
 
-from repro.config import SystemConfig
+from repro.config.system import SystemConfig
 from repro.eval.journal import SweepJournal
 from repro.eval.result_cache import ResultCache, point_key
-from repro.fault.plan import FaultPlan
 from repro.offload.modes import ExecMode
-from repro.sim.results import SimResult
+
+if TYPE_CHECKING:
+    # Annotations only: this module loads no numpy, so the CLI can bind
+    # ``run_sweep`` at import and still list workloads without numpy.
+    import tempfile
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.fault.plan import FaultPlan
+    from repro.sim.results import SimResult
 
 #: Environment override for the default worker count (``--jobs``).
 _ENV_JOBS = "REPRO_JOBS"
@@ -158,7 +162,7 @@ class FailedPoint:
                 f"{'s' if self.attempts != 1 else ''})")
 
 
-class SweepResults(Dict[SweepPoint, SimResult]):
+class SweepResults(Dict[SweepPoint, "SimResult"]):
     """Completed points, plus structured records of any failures.
 
     Behaves exactly like the ``{point: SimResult}`` dict older callers
@@ -467,6 +471,12 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
     old behavior) billed earlier groups' queue wait to late-scheduled
     innocents once the pool drained below ``workers`` pending groups.
     """
+    # The pool machinery loads here: a serial sweep (every cached CLI
+    # command) never pays for it.
+    from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                    wait)
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: Dict[int, List[Tuple]] = {}
     attempts = {i: 0 for i in range(len(payloads))}
     queue = list(range(len(payloads)))
@@ -655,6 +665,7 @@ def schedule_jobs(store: Any,
         if use_pool:
             # Heartbeat files let the dispatcher tell "hung" from
             # "queued" and give the watchdog its staleness signal.
+            import tempfile
             hb_dir = tempfile.TemporaryDirectory(prefix="repro-sweep-hb-")
             payloads: List[_Payload] = [
                 (group, cache_root,

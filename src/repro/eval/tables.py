@@ -1,4 +1,9 @@
-"""Renderers for the paper's qualitative tables (I-VI)."""
+"""Renderers for the paper's qualitative tables (I-VI).
+
+Tables I and VI read the workload registry (Table VI also builds every
+workload); they import it themselves, so the other tables load no
+kernel code.
+"""
 
 from __future__ import annotations
 
@@ -18,12 +23,11 @@ from repro.offload.modes import (
     technique_pattern_count,
     workload_coverage,
 )
-from repro.workloads import workload_requirements, all_workload_names, \
-    make_workload
 
 
 def table1_capabilities() -> str:
     """Table I: capabilities of sub-thread near-data approaches."""
+    from repro.workloads.base import workload_requirements
     reqs = workload_requirements()
     total_patterns = len(AddrPattern) * len(ComputeKind)
     headers = [""] + [t.value for t in Technique]
@@ -118,15 +122,15 @@ def table5_system(config: SystemConfig = None) -> str:
 
 def table6_workloads(scale: float = 1.0 / 64.0) -> str:
     """Table VI: workloads, their classes, and (scaled) parameters."""
+    from repro.mem.address import AddressSpace
+    from repro.workloads.base import all_workload_names, make_workload
     headers = ["Benchmark", "Addr.", "Cmp", "Paper parameters",
                f"This run (scale={scale:.4g})"]
     rows = []
     for name in all_workload_names():
         wl = make_workload(name, scale=scale)
         cls = type(wl)
-        from repro.config import SystemConfig as _SC
-        from repro.mem.address import AddressSpace as _AS
-        wl.build(_AS(_SC.ooo8()))
+        wl.build(AddressSpace(SystemConfig.ooo8()))
         iters = wl.total_iterations
         rows.append([name, cls.addr_label, cls.cmp_label, cls.paper_params,
                      f"{iters:.3g} iterations"])

@@ -7,22 +7,18 @@ injector (ENOSPC / torn writes / byte flips / EACCES / stalls) the cache
 store and the chaos property suite run under.
 """
 
-from repro.fault.chaos import ChaosInjector, ChaosPlan, injector_from_env
-from repro.fault.curve import (DEFAULT_RATES, fault_rate_curve, parse_sites,
-                               plan_for)
-from repro.fault.plan import (RECOVERY_SITES, FaultPlan, FaultSite,
-                              FaultStats)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_RATES",
-    "ChaosInjector",
-    "ChaosPlan",
-    "FaultPlan",
-    "FaultSite",
-    "FaultStats",
-    "RECOVERY_SITES",
-    "fault_rate_curve",
-    "injector_from_env",
-    "parse_sites",
-    "plan_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ChaosInjector": "repro.fault.chaos",
+    "ChaosPlan": "repro.fault.chaos",
+    "injector_from_env": "repro.fault.chaos",
+    "DEFAULT_RATES": "repro.fault.curve",
+    "fault_rate_curve": "repro.fault.curve",
+    "parse_sites": "repro.fault.curve",
+    "plan_for": "repro.fault.curve",
+    "RECOVERY_SITES": "repro.fault.plan",
+    "FaultPlan": "repro.fault.plan",
+    "FaultSite": "repro.fault.plan",
+    "FaultStats": "repro.fault.plan",
+})

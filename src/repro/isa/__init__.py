@@ -15,39 +15,23 @@ dependences on other streams.
   by the compiler's op accounting and the core model.
 """
 
-from repro.isa.pattern import (
-    AddressPatternKind,
-    AffinePattern,
-    ComputeKind,
-    IndirectPattern,
-    PointerChasePattern,
-)
-from repro.isa.stream import NearStreamFunction, Stream, StreamGraph
-from repro.isa.encoding import (
-    AFFINE_FIELDS,
-    COMPUTE_FIELDS,
-    INDIRECT_FIELDS,
-    EncodedConfig,
-    encode_stream,
-    config_bits,
-)
-from repro.isa.instructions import StreamOp, UopKind
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressPatternKind",
-    "AffinePattern",
-    "IndirectPattern",
-    "PointerChasePattern",
-    "ComputeKind",
-    "Stream",
-    "StreamGraph",
-    "NearStreamFunction",
-    "AFFINE_FIELDS",
-    "INDIRECT_FIELDS",
-    "COMPUTE_FIELDS",
-    "EncodedConfig",
-    "encode_stream",
-    "config_bits",
-    "StreamOp",
-    "UopKind",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AddressPatternKind": "repro.isa.pattern",
+    "AffinePattern": "repro.isa.pattern",
+    "ComputeKind": "repro.isa.pattern",
+    "IndirectPattern": "repro.isa.pattern",
+    "PointerChasePattern": "repro.isa.pattern",
+    "NearStreamFunction": "repro.isa.stream",
+    "Stream": "repro.isa.stream",
+    "StreamGraph": "repro.isa.stream",
+    "AFFINE_FIELDS": "repro.isa.encoding",
+    "COMPUTE_FIELDS": "repro.isa.encoding",
+    "INDIRECT_FIELDS": "repro.isa.encoding",
+    "EncodedConfig": "repro.isa.encoding",
+    "encode_stream": "repro.isa.encoding",
+    "config_bits": "repro.isa.encoding",
+    "StreamOp": "repro.isa.instructions",
+    "UopKind": "repro.isa.instructions",
+})

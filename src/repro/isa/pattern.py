@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AddressPatternKind(Enum):
@@ -82,6 +83,9 @@ class AffinePattern:
             count = total - start
         if start < 0 or start + count > total:
             raise ValueError("iteration window out of range")
+        # numpy loads here, not with the module: the execution-mode
+        # enums import this taxonomy, and ``repro list`` needs no numpy.
+        import numpy as np
         iters = np.arange(start, start + count, dtype=np.int64)
         addr = np.full(count, self.base, dtype=np.int64)
         remaining = iters
@@ -138,6 +142,7 @@ class IndirectPattern:
         return AddressPatternKind.INDIRECT
 
     def addresses(self, index_values: np.ndarray) -> np.ndarray:
+        import numpy as np
         values = np.asarray(index_values, dtype=np.int64)
         return self.base + values * self.scale + self.offset
 
@@ -164,4 +169,5 @@ class PointerChasePattern:
         return AddressPatternKind.POINTER_CHASE
 
     def addresses(self, chain: np.ndarray) -> np.ndarray:
+        import numpy as np
         return np.asarray(chain, dtype=np.int64)

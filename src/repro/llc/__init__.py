@@ -17,33 +17,19 @@
   and the glue from atomic traces to the lock models.
 """
 
-from repro.llc.arbiter import ArbiterStream, RoundRobinArbiter
-from repro.llc.se_l3 import SEL3Model
-from repro.llc.rangesync import (
-    ProtocolParams,
-    ProtocolResult,
-    RecoveryResult,
-    run_protocol,
-    run_protocol_batch,
-    run_protocol_reference,
-    run_recovery,
-)
-from repro.llc.indirect import (
-    IndirectOrdering,
-    indirect_reduction_messages,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RoundRobinArbiter",
-    "ArbiterStream",
-    "SEL3Model",
-    "ProtocolParams",
-    "ProtocolResult",
-    "RecoveryResult",
-    "run_protocol",
-    "run_protocol_batch",
-    "run_protocol_reference",
-    "run_recovery",
-    "IndirectOrdering",
-    "indirect_reduction_messages",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ArbiterStream": "repro.llc.arbiter",
+    "RoundRobinArbiter": "repro.llc.arbiter",
+    "SEL3Model": "repro.llc.se_l3",
+    "ProtocolParams": "repro.llc.rangesync",
+    "ProtocolResult": "repro.llc.rangesync",
+    "RecoveryResult": "repro.llc.rangesync",
+    "run_protocol": "repro.llc.rangesync",
+    "run_protocol_batch": "repro.llc.rangesync",
+    "run_protocol_reference": "repro.llc.rangesync",
+    "run_recovery": "repro.llc.rangesync",
+    "IndirectOrdering": "repro.llc.indirect",
+    "indirect_reduction_messages": "repro.llc.indirect",
+})

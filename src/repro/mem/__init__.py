@@ -18,25 +18,19 @@ near-stream machine:
 * :mod:`~repro.mem.dram` — DDR4 bandwidth/latency model.
 """
 
-from repro.mem.address import AddressSpace, Region
-from repro.mem.cache import CacheModel, ReplacementPolicy
-from repro.mem.tlb import TlbModel
-from repro.mem.hierarchy import HierarchyModel, AccessProfile
-from repro.mem.coherence import CoherenceModel
-from repro.mem.locks import LockModel, LockKind, LockStats
-from repro.mem.dram import DramModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "Region",
-    "CacheModel",
-    "ReplacementPolicy",
-    "TlbModel",
-    "HierarchyModel",
-    "AccessProfile",
-    "CoherenceModel",
-    "LockModel",
-    "LockKind",
-    "LockStats",
-    "DramModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AddressSpace": "repro.mem.address",
+    "Region": "repro.mem.address",
+    "CacheModel": "repro.mem.cache",
+    "ReplacementPolicy": "repro.mem.cache",
+    "TlbModel": "repro.mem.tlb",
+    "HierarchyModel": "repro.mem.hierarchy",
+    "AccessProfile": "repro.mem.hierarchy",
+    "CoherenceModel": "repro.mem.coherence",
+    "LockModel": "repro.mem.locks",
+    "LockKind": "repro.mem.locks",
+    "LockStats": "repro.mem.locks",
+    "DramModel": "repro.mem.dram",
+})

@@ -9,18 +9,14 @@ derives latency from link utilization (M/D/1-style queueing on the most
 loaded link of a route) instead of simulating flits.
 """
 
-from repro.noc.message import MessageClass, MessageType, message_bytes
-from repro.noc.topology import Mesh
-from repro.noc.traffic import TrafficLedger
-from repro.noc.detailed import DetailedMesh
-from repro.noc.flow import FlowModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mesh",
-    "MessageClass",
-    "MessageType",
-    "message_bytes",
-    "TrafficLedger",
-    "FlowModel",
-    "DetailedMesh",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "MessageClass": "repro.noc.message",
+    "MessageType": "repro.noc.message",
+    "message_bytes": "repro.noc.message",
+    "Mesh": "repro.noc.topology",
+    "TrafficLedger": "repro.noc.traffic",
+    "DetailedMesh": "repro.noc.detailed",
+    "FlowModel": "repro.noc.flow",
+})

@@ -9,26 +9,17 @@
   length threshold of §IV-C.
 """
 
-from repro.offload.modes import (
-    AddrPattern,
-    ExecMode,
-    Support,
-    Technique,
-    supports,
-    technique_pattern_count,
-    workload_coverage,
-)
-from repro.offload.policy import OffloadDecision, OffloadPolicy, StreamProfile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExecMode",
-    "Technique",
-    "AddrPattern",
-    "Support",
-    "supports",
-    "technique_pattern_count",
-    "workload_coverage",
-    "OffloadPolicy",
-    "OffloadDecision",
-    "StreamProfile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AddrPattern": "repro.offload.modes",
+    "ExecMode": "repro.offload.modes",
+    "Support": "repro.offload.modes",
+    "Technique": "repro.offload.modes",
+    "supports": "repro.offload.modes",
+    "technique_pattern_count": "repro.offload.modes",
+    "workload_coverage": "repro.offload.modes",
+    "OffloadDecision": "repro.offload.policy",
+    "OffloadPolicy": "repro.offload.policy",
+    "StreamProfile": "repro.offload.policy",
+})

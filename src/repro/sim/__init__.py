@@ -14,19 +14,15 @@ range-sync protocol episodes -> combine compute/memory/NoC/SE bounds into
 cycles -> integrate energy.
 """
 
-from repro.sim.results import SimResult
-from repro.sim.placement import Placement, StreamPlan, plan_streams
-from repro.sim.replay import FunctionalTrace, record_trace
-from repro.sim.run import run_workload
-from repro.sim.ideal import ideal_traffic
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimResult",
-    "Placement",
-    "StreamPlan",
-    "plan_streams",
-    "FunctionalTrace",
-    "record_trace",
-    "run_workload",
-    "ideal_traffic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SimResult": "repro.sim.results",
+    "Placement": "repro.sim.placement",
+    "StreamPlan": "repro.sim.placement",
+    "plan_streams": "repro.sim.placement",
+    "FunctionalTrace": "repro.sim.replay",
+    "record_trace": "repro.sim.replay",
+    "run_workload": "repro.sim.run",
+    "ideal_traffic": "repro.sim.ideal",
+})

@@ -22,18 +22,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.compiler import compile_kernel
-from repro.config import SystemConfig
-from repro.isa.pattern import AddressPatternKind, ComputeKind
+from repro.config.system import SystemConfig
+from repro.isa.pattern import AddressPatternKind
 from repro.mem.address import AddressSpace
 from repro.noc.topology import Mesh
-from repro.sim.tracestats import (
-    compute_phase_stats,
-    core_of_elements,
-    forward_hops,
-    hops_matrix,
-)
-from repro.workloads import Workload, make_workload
+from repro.sim.replay import FunctionalTrace, record_trace
+from repro.sim.tracestats import forward_hops, hops_matrix
+from repro.workloads.base import make_workload
 
 PERFECT_CACHE_BYTES = 256 * 1024
 
@@ -62,12 +57,30 @@ class _ByteLru:
 def ideal_traffic(workload, config: Optional[SystemConfig] = None,
                   scale: float = 1.0 / 64.0, seed: int = 42,
                   sample_cores: int = 4) -> Dict[str, float]:
-    """Bytes x hops of the three Fig 1(b) abstract systems."""
+    """Bytes x hops of the three Fig 1(b) abstract systems.
+
+    ``workload`` is a name, a :class:`~repro.workloads.base.Workload`
+    (built here if it is not yet), or a recorded
+    :class:`~repro.sim.replay.FunctionalTrace`, whose compiled programs
+    and packed stream geometry are reused; ``scale`` and ``seed`` apply
+    to a name only.  Every input is measured as a trace, so the three
+    give the same numbers.  A trace recorded under another address
+    layout than ``config``'s is refused, as ``run_workload`` refuses it.
+    """
     config = config or SystemConfig.ooo8()
-    if isinstance(workload, str):
-        workload = make_workload(workload, scale=scale, seed=seed)
-    if workload.space is None:
-        workload.build(AddressSpace(config))
+    if isinstance(workload, FunctionalTrace):
+        recorded = workload
+    else:
+        if isinstance(workload, str):
+            workload = make_workload(workload, scale=scale, seed=seed)
+        if workload.space is None:
+            workload.build(AddressSpace(config))
+        recorded = record_trace(workload)
+    if recorded.layout != config.layout:
+        raise ValueError(
+            f"{recorded.workload}: functional trace was recorded under a "
+            f"different address layout (mesh or page size) than the "
+            f"config; its traffic would be measured on the wrong mesh")
     mesh = Mesh(config.noc)
     hmat = hops_matrix(mesh)
     n_cores = config.num_cores
@@ -79,12 +92,10 @@ def ideal_traffic(workload, config: Optional[SystemConfig] = None,
                              min(sample_cores, n_cores), dtype=int).tolist()
 
     # The perfect cache shrinks with the inputs, like the machine caches.
-    cache_bytes = max(int(PERFECT_CACHE_BYTES * workload.scale), 4096)
+    cache_bytes = max(int(PERFECT_CACHE_BYTES * recorded.scale), 4096)
 
-    for phase in workload.phases():
-        program = compile_kernel(phase.kernel)
-        stats = compute_phase_stats(phase.traces, workload.space, mesh,
-                                    hmat, config.page_bytes)
+    for index, (phase, program) in enumerate(recorded.phase_programs()):
+        stats = recorded.stats_for(index, phase, mesh, hmat)
         inv = phase.invocations
         total_iters = max(phase.kernel.total_iterations, 1.0)
 

@@ -325,20 +325,23 @@ class FunctionalTrace:
         Stats depend only on (trace, layout) — both fixed for one
         FunctionalTrace — so every mode and knob replaying this object
         shares one computation.  Packed ``stats`` supply them without
-        recomputing; a pack that turns out not to match the phase
-        (impossible under the content key, but cheap to guard) falls
-        back to the computation.  ``mesh`` is the replaying machine's
-        (same dims as the layout); ``hmat`` optionally passes its hop
-        matrix — with the per-mesh memo both resolve to the same array.
+        recomputing; a pack that turns out not to match the trace
+        (impossible under the content key, but cheap to guard) is
+        dropped and the geometry computed, so :meth:`pack_stats` packs
+        it afresh and the store entry is rewritten once.  ``mesh`` is
+        the replaying machine's (same dims as the layout); ``hmat``
+        optionally passes its hop matrix — with the per-mesh memo both
+        resolve to the same array.
         """
         if index not in self._stats:
             stats = None
-            if self.stats is not None and len(self.stats) == len(
-                    self.phases):
+            if self.stats is not None:
                 try:
+                    if len(self.stats) != len(self.phases):
+                        raise ValueError("stats pack phases do not match")
                     stats = self.stats[index].to_stats(phase, mesh)
                 except ValueError:
-                    stats = None
+                    self.stats = None
             if stats is None:
                 if hmat is None:
                     hmat = hops_matrix(mesh)

@@ -16,45 +16,24 @@ always on in the test suite via ``$REPRO_TRACE`` (see
 ``make trace``.
 """
 
-from repro.trace.events import (
-    TRACK_PROTOCOL,
-    TRACK_RECOVERY,
-    UNTRACKED,
-    EventKind,
-    ProtocolViolation,
-    TraceEvent,
-)
-from repro.trace.export import chrome_trace_events, export_chrome_trace
-from repro.trace.metrics import (
-    HistogramSummary,
-    MetricsRegistry,
-    TraceMetrics,
-    format_metrics,
-)
-from repro.trace.sanitizer import ProtocolSanitizer
-from repro.trace.tracer import (
-    ENV_TRACE,
-    Tracer,
-    tracer_from_env,
-    tracing_enabled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENV_TRACE",
-    "EventKind",
-    "HistogramSummary",
-    "MetricsRegistry",
-    "ProtocolSanitizer",
-    "ProtocolViolation",
-    "TraceEvent",
-    "TraceMetrics",
-    "Tracer",
-    "TRACK_PROTOCOL",
-    "TRACK_RECOVERY",
-    "UNTRACKED",
-    "chrome_trace_events",
-    "export_chrome_trace",
-    "format_metrics",
-    "tracer_from_env",
-    "tracing_enabled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TRACK_PROTOCOL": "repro.trace.events",
+    "TRACK_RECOVERY": "repro.trace.events",
+    "UNTRACKED": "repro.trace.events",
+    "EventKind": "repro.trace.events",
+    "ProtocolViolation": "repro.trace.events",
+    "TraceEvent": "repro.trace.events",
+    "chrome_trace_events": "repro.trace.export",
+    "export_chrome_trace": "repro.trace.export",
+    "HistogramSummary": "repro.trace.metrics",
+    "MetricsRegistry": "repro.trace.metrics",
+    "TraceMetrics": "repro.trace.metrics",
+    "format_metrics": "repro.trace.metrics",
+    "ProtocolSanitizer": "repro.trace.sanitizer",
+    "ENV_TRACE": "repro.trace.tracer",
+    "Tracer": "repro.trace.tracer",
+    "tracer_from_env": "repro.trace.tracer",
+    "tracing_enabled": "repro.trace.tracer",
+})

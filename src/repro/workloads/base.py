@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.compiler.ir import Kernel
 from repro.isa.pattern import ComputeKind
 from repro.mem.address import AddressSpace
 from repro.offload.modes import AddrPattern
+from repro.workloads import WORKLOAD_NAMES
 
 # Default shrink factor versus the paper's input sizes.
 DEFAULT_SCALE = 1.0 / 64.0
@@ -149,6 +151,22 @@ class Workload(abc.ABC):
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Type[Workload]] = {}
 
+#: The modules whose import registers the built-in kernels.
+_KERNEL_MODULES = ("datamining", "graph", "micro", "pointer", "rodinia")
+
+
+def _registry() -> Dict[str, Type[Workload]]:
+    """The workload registry, with the built-in kernels registered.
+
+    The kernel modules load on this first use rather than as a side
+    effect of importing the package, so code that only names workloads
+    (the CLI's listing and validation, cache keys of stored results)
+    never pays for them.  Later calls find them in ``sys.modules``.
+    """
+    for module in _KERNEL_MODULES:
+        import_module(f"repro.workloads.{module}")
+    return _REGISTRY
+
 
 def register_workload(cls: Type[Workload]) -> Type[Workload]:
     """Class decorator adding a workload to the global registry."""
@@ -163,25 +181,25 @@ def register_workload(cls: Type[Workload]) -> Type[Workload]:
 def make_workload(name: str, scale: float = DEFAULT_SCALE,
                   seed: int = 42) -> Workload:
     """Instantiate a registered workload (build() is still the caller's)."""
-    if name not in _REGISTRY:
+    known = _registry()
+    if name not in known:
         import difflib
-        close = difflib.get_close_matches(name, _REGISTRY, n=3, cutoff=0.5)
+        close = difflib.get_close_matches(name, known, n=3, cutoff=0.5)
         if close:
             hint = "did you mean " + " or ".join(repr(c) for c in close) + "?"
         else:
-            hint = f"known: {sorted(_REGISTRY)}"
+            hint = f"known: {sorted(known)}"
         raise KeyError(f"unknown workload {name!r}; {hint}")
-    return _REGISTRY[name](scale=scale, seed=seed)
+    return known[name](scale=scale, seed=seed)
 
 
 def all_workload_names() -> List[str]:
     """Table VI order."""
-    order = ["pathfinder", "srad", "hotspot", "hotspot3D", "histogram",
-             "scluster", "svm", "bfs_push", "pr_push", "sssp",
-             "bfs_pull", "pr_pull", "bin_tree", "hash_join"]
-    return [n for n in order if n in _REGISTRY]
+    known = _registry()
+    return [n for n in WORKLOAD_NAMES if n in known]
 
 
 def workload_requirements() -> Dict[str, Tuple[AddrPattern, ComputeKind]]:
     """Per-workload primary (address, compute) requirement (Table I/VI)."""
-    return {name: _REGISTRY[name].requirement for name in all_workload_names()}
+    known = _registry()
+    return {name: known[name].requirement for name in all_workload_names()}

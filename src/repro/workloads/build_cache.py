@@ -27,7 +27,7 @@ from repro.config import AddressLayout, SystemConfig
 from repro.eval.result_cache import KIND_REPLAY, ResultCache, fingerprint
 from repro.mem.address import AddressSpace
 from repro.sim.profiler import Profiler
-from repro.workloads.base import _REGISTRY
+from repro.workloads.base import _registry
 
 #: Bump when Workload.build semantics change (trace layout, allocation
 #: order, functional execution) in a way that invalidates stored traces.
@@ -43,7 +43,7 @@ def trace_key(name: str, scale: float, seed: int,
     one trace.
     """
     from repro.sim.replay import REPLAY_SCHEMA
-    cls = _REGISTRY.get(name)
+    cls = _registry().get(name)
     layout = config if isinstance(config, AddressLayout) else config.layout
     return fingerprint({
         "kind": "functional-trace",

@@ -93,17 +93,20 @@ def test_every_kind_quarantines_torn_and_flipped(tmp_path, kind, corrupt):
 
 @pytest.mark.parametrize("kind_label", ["replay", "stats"])
 def test_corrupt_replay_and_stats_entries_recompute_identically(
-        tmp_path, kind_label):
+        tmp_path, monkeypatch, kind_label):
     """End to end: damaging the trace entry a sweep wrote never changes
     numbers.  ``replay``: flipped bytes in the envelope quarantine it and
     the re-sweep rebuilds.  ``stats``: a well-formed entry whose packed
     geometry no longer describes the trace makes the re-sweep recompute
-    the geometry.  Both are bit-identical to the first sweep."""
+    the geometry.  Both are bit-identical to the first sweep, both
+    rewrite the entry once, and the sweep after that replays the
+    stored geometry without recomputing it."""
     import dataclasses
 
     from repro.config import SystemConfig
     from repro.eval.sweep import SweepPoint, run_sweep
     from repro.offload.modes import ExecMode
+    from repro.sim import replay
     from repro.workloads.build_cache import trace_key
 
     cache = ResultCache(tmp_path)
@@ -114,6 +117,7 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     key = trace_key("histogram", point.scale, point.seed, config)
     path = cache._path(key)
     assert ResultCache._entry_kind(path.read_bytes()) == KIND_REPLAY
+    n_phases = len(cache.lookup(key).phases)
     if kind_label == "replay":
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 3] ^= 0xFF
@@ -123,13 +127,25 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
         trace.stats = [dataclasses.replace(p, names=["bogus"] * len(p.names))
                        for p in trace.stats]
         assert cache.store(key, trace, kind=KIND_REPLAY)
-    # drop the result entries so the re-sweep exercises the damaged
-    # trace entry instead of short-circuiting on cached results
-    for path in cache.root.rglob("*.pkl"):
-        if cache.quarantine_root not in path.parents \
-                and ResultCache._entry_kind(path.read_bytes()) == "result":
-            path.unlink()
 
+    def drop_results():
+        # so a re-sweep exercises the trace entry instead of
+        # short-circuiting on cached results
+        for entry in cache.root.rglob("*.pkl"):
+            if cache.quarantine_root not in entry.parents \
+                    and ResultCache._entry_kind(entry.read_bytes()) \
+                    == "result":
+                entry.unlink()
+
+    computed = []
+    compute = replay.compute_phase_stats
+
+    def counting(*args, **kwargs):
+        computed.append(1)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(replay, "compute_phase_stats", counting)
+    drop_results()
     fresh = ResultCache(tmp_path)
     results = run_sweep([point], jobs=1, cache=fresh)
     assert results.ok
@@ -138,6 +154,16 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     # in the shared quarantine directory are the durable evidence
     quarantined = list(fresh.quarantine_root.glob("*.pkl"))
     assert len(quarantined) == (1 if kind_label == "replay" else 0)
+    # one recompute, and the entry now carries geometry for its phases
+    assert len(computed) == n_phases
+    rewritten = ResultCache(tmp_path).lookup(key)
+    assert [p.names for p in rewritten.stats] \
+        == [p.names for p in rewritten.phases]
+
+    drop_results()
+    again = run_sweep([point], jobs=1, cache=ResultCache(tmp_path))
+    assert again[point].to_dict() == first.to_dict()
+    assert len(computed) == n_phases  # the packed geometry served it
 
 
 def test_stats_and_disk_stats_exclude_quarantine(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.eval import (
     EvalConfig,
     fig1a_stream_op_breakdown,
+    fig1b_ideal_traffic,
     fig9_overall_speedup,
     fig11_offload_fractions,
     fig12_traffic_breakdown,
@@ -74,3 +75,27 @@ def test_fig15_only_affine_workloads():
 def test_eval_config_defaults_to_all_workloads():
     assert len(EvalConfig().workload_names()) == 14
     assert EvalConfig().system().num_cores == 64
+
+
+def test_fig1b_on_a_warm_store_builds_nothing(tmp_path, monkeypatch):
+    """Fig 1b measures the stored functional traces: once a pass has
+    stored them, the next builds no workload and gives the same rows."""
+    from repro.eval import result_cache
+    from repro.workloads.base import Workload
+
+    monkeypatch.setattr(result_cache, "_default_cache",
+                        result_cache.ResultCache(tmp_path))
+    cfg = EvalConfig(scale=1.0 / 256.0, workloads=("histogram", "bfs_push"),
+                     use_cache=True)
+    cold = fig1b_ideal_traffic(cfg)
+
+    builds = []
+    build = Workload.build
+
+    def counting(self, space):
+        builds.append(self.name)
+        return build(self, space)
+
+    monkeypatch.setattr(Workload, "build", counting)
+    assert fig1b_ideal_traffic(cfg) == cold
+    assert builds == []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _check_workload, main
+from repro.workloads import WORKLOAD_NAMES
 
 SMALL = ["--scale", "0.00390625"]
 
@@ -241,3 +242,11 @@ def test_cache_clear_quarantine_only(tmp_path, capsys):
     # live entries survived; only the quarantine was dropped
     assert ResultCache(tmp_path).lookup("ab" + "0" * 62) == "live"
     assert not list(ResultCache(tmp_path).quarantine_root.glob("*.pkl"))
+
+
+@pytest.mark.parametrize("name", ["memset", "vecsum", "condsum", "saxpy"])
+def test_names_outside_the_table_fall_back_to_the_registry(name):
+    """The micro-kernels are not in the static Table VI name table; the
+    registry still validates them."""
+    assert name not in WORKLOAD_NAMES
+    assert _check_workload(name)

@@ -1,8 +1,13 @@
 """Fig 1(b) ideal-systems model."""
 
+import pickle
+
 import pytest
 
+from repro.config import SystemConfig
 from repro.sim import ideal_traffic
+from repro.workloads import WORKLOAD_NAMES, make_workload
+from repro.workloads.build_cache import load_or_record
 
 SCALE = 1.0 / 256.0
 
@@ -52,3 +57,24 @@ def test_near_llc_wins_on_pointer_chasing(results):
 def test_deterministic(results):
     again = ideal_traffic("histogram", scale=SCALE)
     assert again == results["histogram"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_stored_trace_measures_like_the_live_workload(name):
+    """A trace as the store serves it — pickled, with packed geometry
+    and no in-process memo — gives exactly the live workload's numbers."""
+    config = SystemConfig.ooo8()
+    trace = load_or_record(name, SCALE, 42, config, cache=None)
+    ideal_traffic(trace, config=config)  # derives the geometry
+    assert trace.pack_stats()
+    stored = pickle.loads(pickle.dumps(trace))
+    live = make_workload(name, scale=SCALE)
+    assert ideal_traffic(stored, config=config) \
+        == ideal_traffic(live, config=config)
+
+
+def test_trace_from_another_layout_is_refused():
+    trace = load_or_record("histogram", SCALE, 42, SystemConfig.ooo8(),
+                           cache=None)
+    with pytest.raises(ValueError, match="address layout"):
+        ideal_traffic(trace, config=SystemConfig.paper_mesh(4))

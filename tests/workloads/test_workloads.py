@@ -6,7 +6,8 @@ import pytest
 from repro.compiler import compile_kernel
 from repro.config import SystemConfig
 from repro.mem import AddressSpace
-from repro.workloads import all_workload_names, make_workload
+from repro.workloads import WORKLOAD_NAMES, all_workload_names, \
+    make_workload
 
 SCALE = 1.0 / 256.0
 
@@ -24,6 +25,12 @@ def built():
 
 def test_all_fourteen_workloads_registered():
     assert len(all_workload_names()) == 14
+
+
+def test_static_name_table_matches_the_registry():
+    """The table the CLI lists and validates from without loading the
+    kernels is the registry's Table VI list."""
+    assert list(WORKLOAD_NAMES) == all_workload_names()
 
 
 @pytest.mark.parametrize("name", all_workload_names())
