@@ -12,8 +12,16 @@ trajectory across PRs.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# The perf benches time the runtime models against the scalar oracles
+# in tests/oracles, which import as ``tests.oracles``.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 from repro.eval import EvalConfig
 from repro.eval.benchlog import append_record

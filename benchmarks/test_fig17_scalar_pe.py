@@ -8,8 +8,7 @@ NS_decouple).
 
 from dataclasses import replace
 
-from repro.engine.stats import geomean
-from repro.eval import fig17_scalar_pe, format_table
+from repro.eval import fig17_scalar_pe, format_table, geomean
 
 SUBSET = ("srad", "hotspot", "bfs_push", "sssp", "bin_tree", "hash_join")
 

@@ -2,8 +2,9 @@
 
 The top-level simulator uses the analytic flow model (hop counts + M/D/1
 queueing). This bench quantifies its error against the cycle-level
-wormhole simulation in ``repro.noc.detailed`` on random traffic patterns —
-the honesty check for the Garnet substitution documented in DESIGN.md.
+wormhole simulation in ``tests/oracles/noc_detailed.py`` on random
+traffic patterns — the honesty check for the Garnet substitution
+documented in DESIGN.md.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from repro.config import NocConfig
 from repro.eval import format_table
 from repro.noc import FlowModel, Mesh, MessageType
-from repro.noc.detailed import DetailedMesh
+from tests.oracles.noc_detailed import DetailedMesh
 
 
 def run_pattern(n_packets, seed, window):

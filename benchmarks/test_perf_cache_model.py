@@ -5,7 +5,8 @@ element-granularity trace shaped like the simulator's own: 60% sequential
 streams that touch each 64B line 8 times in a row (8-byte elements), 40%
 random churn, 30% writes.  Records lines/sec in ``extra_info`` so
 BENCH_*.json tracks the hot path across PRs, and asserts the ≥5x speedup
-over the retained scalar reference with exact stat equivalence.
+over the scalar oracle (``tests/oracles/cache_ref.py``) with exact stat
+equivalence.
 """
 
 import time
@@ -15,7 +16,7 @@ import pytest
 
 from repro.config import CacheConfig
 from repro.mem.cache import CacheModel, ReplacementPolicy
-from repro.mem.cache_ref import ScalarCacheModel
+from tests.oracles.cache_ref import ScalarCacheModel
 
 TRACE_LEN = 400_000
 CACHE = CacheConfig(size_bytes=256 * 1024, assoc=16, latency=4)

@@ -2,9 +2,9 @@
 
 The two remaining `sample_caches`/`analyze_locks` hot paths after the
 batched-walk PR. Each benchmark records lines (or ops) per second into
-``$REPRO_BENCH_LOG`` and asserts a healthy speedup over the retained
-scalar reference with exact equivalence on the same trace — the perf
-claim and the correctness claim in one place.
+``$REPRO_BENCH_LOG`` and asserts a healthy speedup over the scalar
+oracle (``tests/oracles``) with exact equivalence on the same trace —
+the perf claim and the correctness claim in one place.
 """
 
 import time
@@ -15,6 +15,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.mem.hierarchy import HierarchyModel, SharedL3Model
 from repro.mem.locks import LockKind, LockModel
+from tests.oracles.hierarchy import access_element
+from tests.oracles.locks import analyze_reference
 
 TRACE_LEN = 200_000
 # The L2 stream keeps the scalar engine (BRRIP draw order must match
@@ -70,7 +72,7 @@ def test_walk_speedup_over_scalar():
 
     ref_hier = HierarchyModel(config, SharedL3Model(config), core_id=0)
     t0 = time.perf_counter()
-    ref = [ref_hier.access_element(int(l), bool(w), bool(s))
+    ref = [access_element(ref_hier, int(l), bool(w), bool(s))
            for l, w, s in zip(lines, writes, skip)]
     t_ref = time.perf_counter() - t0
 
@@ -115,7 +117,7 @@ def test_lock_speedup_over_reference(kind):
     model = LockModel(kind, window=256)
 
     t0 = time.perf_counter()
-    ref = model.analyze_reference(lines, modifies, streams)
+    ref = analyze_reference(model, lines, modifies, streams)
     t_ref = time.perf_counter() - t0
     t0 = time.perf_counter()
     fast = model.analyze(lines, modifies, streams)

@@ -1,13 +1,12 @@
-"""Batched protocol engine perf + big-mesh scaling curves (PR 7).
+"""Protocol engine perf + big-mesh scaling curves.
 
 Three benches, all logging to ``$REPRO_BENCH_LOG`` (``BENCH_PR7.json``):
 
 * ``protocol_engine`` — captures the *actual* episode batches a bfs_push
-  run on a 16x16 mesh feeds the protocol engine, then times the retained
-  scalar reference against the batched engine on those exact parameters
-  (and on a synthetic cross-bank expansion of them, where the SoA pass
-  dominates).  This is the ISSUE's ">= 4x protocol-stage speedup"
-  number.
+  run on a 16x16 mesh feeds the protocol engine, then times the
+  event-driven oracle (``tests/oracles/rangesync.py``) against the
+  engine on those exact parameters: the ">= 4x protocol-stage speedup"
+  gate.
 * ``scaling`` — speedup and NoC traffic vs. tile count (64 / 256 / 1024
   tiles) for bfs_push, sssp, and the dense pathfinder stencil; the rows
   EXPERIMENTS.md's scaling section quotes.  (pathfinder is the dense
@@ -32,9 +31,9 @@ from repro.config import SystemConfig
 from repro.eval.benchlog import mesh_fields
 from repro.eval.sweep import SweepPoint, run_sweep
 from repro.llc.rangesync import run_protocol_batch
-from repro.llc.rangesync_batch import run_batch
 from repro.offload.modes import ExecMode
 from repro.sim.run import run_workload
+from tests.oracles.rangesync import run_protocol_batch_reference
 
 SCALE = float(os.environ.get("REPRO_SCALE") or 1.0 / 64.0)
 
@@ -48,10 +47,10 @@ def _capture_episode_batches(workload, config):
     captured = []
     real = phase_mod.run_protocol_batch
 
-    def recording(batch, tracer=None, labels=None, engine=None):
+    def recording(batch, tracer=None, labels=None):
         if batch:
             captured.append(list(batch))
-        return real(batch, tracer=tracer, labels=labels, engine=engine)
+        return real(batch, tracer=tracer, labels=labels)
 
     phase_mod.run_protocol_batch = recording
     try:
@@ -71,47 +70,30 @@ def _time_engine(fn, repeats):
 
 
 def test_protocol_engine_speedup_16x16(bench_log):
-    """Batched >= 4x the scalar reference on bfs_push's real episodes."""
+    """The engine >= 4x the oracle on bfs_push's real episodes."""
     config = SystemConfig.paper_mesh(16)
     batches = _capture_episode_batches("bfs_push", config)
     assert batches, "the run never invoked the protocol engine"
     episodes = [p for batch in batches for p in batch]
 
     t_ref = _time_engine(
-        lambda: [run_protocol_batch(b, engine="reference") for b in batches],
+        lambda: [run_protocol_batch_reference(b) for b in batches],
         repeats=3)
     t_bat = _time_engine(
-        lambda: [run_protocol_batch(b, engine="batched") for b in batches],
-        repeats=3)
+        lambda: [run_protocol_batch(b) for b in batches], repeats=3)
     speedup = t_ref / max(t_bat, 1e-12)
-
-    # The cross-bank shape: every captured episode concurrent on every
-    # bank at once — the regime big meshes put the engine in, and where
-    # the SoA pass (vs the per-episode flat recurrence) earns its keep.
-    cross_bank = episodes * max(config.num_cores // max(len(episodes), 1), 1)
-    t_ref_x = _time_engine(
-        lambda: run_protocol_batch(cross_bank, engine="reference"),
-        repeats=1)
-    t_soa_x = _time_engine(
-        lambda: run_batch(cross_bank, soa_min=1), repeats=1)
-    soa_speedup = t_ref_x / max(t_soa_x, 1e-12)
 
     bench_log("protocol_engine", workload="bfs_push", mode="ns",
               episodes=len(episodes), batches=len(batches),
               reference_seconds=round(t_ref, 6),
               batched_seconds=round(t_bat, 6),
               speedup=round(speedup, 2),
-              cross_bank_episodes=len(cross_bank),
-              cross_bank_reference_seconds=round(t_ref_x, 6),
-              cross_bank_soa_seconds=round(t_soa_x, 6),
-              cross_bank_speedup=round(soa_speedup, 2),
               **mesh_fields(config))
     print(f"\nprotocol engine on bfs_push@16x16: {len(episodes)} episodes"
-          f", reference {t_ref * 1e3:.2f} ms vs batched "
-          f"{t_bat * 1e3:.2f} ms ({speedup:.1f}x); cross-bank "
-          f"{len(cross_bank)} episodes {soa_speedup:.1f}x")
+          f", oracle {t_ref * 1e3:.2f} ms vs engine "
+          f"{t_bat * 1e3:.2f} ms ({speedup:.1f}x)")
     assert speedup >= 4.0, (
-        f"batched engine only {speedup:.2f}x over the reference")
+        f"protocol engine only {speedup:.2f}x over the oracle")
 
 
 @pytest.mark.parametrize("workload", SCALING_WORKLOADS)

@@ -12,8 +12,7 @@ energy savings grow with the machine.
 import pytest
 
 from repro.config import SystemConfig
-from repro.engine.stats import geomean
-from repro.eval import format_table
+from repro.eval import format_table, geomean
 from repro.offload import ExecMode
 from repro.sim import run_workload
 

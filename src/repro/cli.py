@@ -17,13 +17,15 @@ Usage::
     python -m repro cache clear --quarantine        # drop quarantined only
     python -m repro list                            # workloads and modes
 
-``--jobs N`` fans simulations over N worker processes (0 = all cores);
-results are bit-identical to serial runs.  ``--cache`` persists results
-under ``.repro_cache/`` (or ``--cache-dir``/``$REPRO_CACHE_DIR``) so
-reruns are near-instant; ``repro cache clear`` invalidates it.
-``--timeout SEC`` bounds each worker simulation; it must be positive —
-leave it off (or set ``$REPRO_SWEEP_TIMEOUT``, where ``0`` means none)
-to run unbounded.
+Each command takes only the flags its handler reads.  ``--jobs N``
+(compare, sweep, fig, report) fans simulations over N worker processes
+(0 = all cores); results are bit-identical to serial runs.  ``--cache``
+(those commands and run) persists results under ``.repro_cache/`` (or
+``--cache-dir``/``$REPRO_CACHE_DIR``) so reruns are near-instant;
+``repro cache clear`` invalidates it.  ``--timeout SEC`` (run, compare,
+sweep) bounds each worker simulation; it must be positive — leave it off
+(or set ``$REPRO_SWEEP_TIMEOUT``, where ``0`` means none) to run
+unbounded.  ``--scale`` must be a fraction in (0, 1].
 
 ``repro sweep`` is the durable workhorse for unattended runs (README
 "Unattended runs", DESIGN.md §5g): ``--journal FILE`` appends every
@@ -42,7 +44,6 @@ progress — bit-identical results to ``repro sweep`` on the same points.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -74,22 +75,44 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=1.0 / 64.0,
-                        help="input shrink factor vs the paper's sizes")
+def _scale_fraction(text: str) -> float:
+    """argparse type for --scale: a finite fraction in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r} (want a fraction in (0, 1], "
+            f"e.g. 0.015625)")
+    if not 0 < value <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"scale must be in (0, 1] (got {text})")
+    return value
+
+
+def _add_common(parser: argparse.ArgumentParser, jobs: bool = False,
+                timeout: bool = False, cache: bool = False) -> None:
+    """--scale and --seed, plus the sweep flags the handler reads."""
+    parser.add_argument("--scale", type=_scale_fraction, default=1.0 / 64.0,
+                        help="input shrink factor vs the paper's sizes, "
+                             "in (0, 1]")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweeps (0 = all cores; "
-                             "default $REPRO_JOBS or serial)")
-    parser.add_argument("--timeout", type=_positive_seconds, default=None,
-                        metavar="SEC",
-                        help="per-simulation timeout in seconds (> 0); "
-                             "omit for no timeout (default "
-                             "$REPRO_SWEEP_TIMEOUT, where 0 means none)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse/persist results under .repro_cache/")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache directory (implies --cache)")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                            help="worker processes for sweeps (0 = all "
+                                 "cores; default $REPRO_JOBS or serial)")
+    if timeout:
+        parser.add_argument("--timeout", type=_positive_seconds,
+                            default=None, metavar="SEC",
+                            help="per-simulation timeout in seconds (> 0); "
+                                 "omit for no timeout (default "
+                                 "$REPRO_SWEEP_TIMEOUT, where 0 means "
+                                 "none)")
+    if cache:
+        parser.add_argument("--cache", action="store_true",
+                            help="reuse/persist results under "
+                                 ".repro_cache/")
+        parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                            help="cache directory (implies --cache)")
 
 
 def _check_workload(name: str) -> bool:
@@ -216,8 +239,11 @@ def cmd_run(args) -> int:
     cache = _sweep_cache(args)
     point = SweepPoint(args.workload, mode, SystemConfig.ooo8(),
                        scale=args.scale, seed=args.seed)
-    result = run_sweep([point], jobs=1, cache=cache,
-                       timeout=args.timeout)[point]
+    results = run_sweep([point], jobs=1, cache=cache, timeout=args.timeout)
+    if not results.ok:
+        _print_failures(results)
+        return 1
+    result = results[point]
     if args.json:
         import json
         print(json.dumps(result.to_dict(), indent=2))
@@ -244,6 +270,9 @@ def cmd_compare(args) -> int:
               for mode in ExecMode}
     results = run_sweep(points.values(), jobs=args.jobs, cache=cache,
                         timeout=args.timeout)
+    if not results.ok:
+        _print_failures(results)
+        return 1
     base = results[points[ExecMode.BASE]]
     rows = []
     for mode in ExecMode:
@@ -436,74 +465,6 @@ def _mesh_config(args) -> Optional[SystemConfig]:
         return None
 
 
-def _profile_compare(args, mode, config) -> int:
-    """Run both protocol engines and print the per-stage delta table.
-
-    The value of ``--compare`` names the baseline engine; both runs must
-    produce bit-identical results (the engines' contract) or the command
-    fails, so a protocol-engine regression is one command away.
-    """
-    import time as _time
-    from repro.eval.benchlog import append_record, mesh_fields
-    from repro.sim.run import run_workload
-
-    baseline = "reference" if args.compare == "ref" else "batched"
-    other = "batched" if baseline == "reference" else "reference"
-    # Load (or record) the functional trace once and hand the same
-    # object to both engines: the comparison then measures the engines,
-    # not functional or geometry work — the in-process stats memo is
-    # shared across the two runs.
-    source = args.workload
-    cache = None
-    if not args.no_replay:
-        from repro.workloads.build_cache import load_or_record, save_trace
-        cache = get_default_cache()
-        source = load_or_record(args.workload, args.scale, args.seed,
-                                config, cache)
-    runs = {}
-    for engine in (baseline, other):
-        t0 = _time.perf_counter()
-        result = run_workload(source, mode, config=config,
-                              scale=args.scale, seed=args.seed,
-                              use_replay=not args.no_replay,
-                              protocol_engine=engine)
-        runs[engine] = (result, _time.perf_counter() - t0)
-    if cache is not None:
-        save_trace(source, cache)
-    if runs[baseline][0].to_dict() != runs[other][0].to_dict():
-        print(f"ENGINES DISAGREE on {args.workload}: {baseline} and "
-              f"{other} produced different results", file=sys.stderr)
-        return 1
-    base_stages = runs[baseline][0].profile
-    other_stages = runs[other][0].profile
-    names = sorted(set(base_stages) | set(other_stages),
-                   key=lambda n: -(base_stages[n].seconds
-                                   if n in base_stages else 0.0))
-    rows = []
-    for name in names:
-        b = base_stages[name].seconds if name in base_stages else 0.0
-        o = other_stages[name].seconds if name in other_stages else 0.0
-        rows.append([name, f"{b:.4f}", f"{o:.4f}", f"{o - b:+.4f}",
-                     f"{b / o:.2f}x" if o > 0 else "-"])
-    rows.append(["total (wall)", f"{runs[baseline][1]:.4f}",
-                 f"{runs[other][1]:.4f}",
-                 f"{runs[other][1] - runs[baseline][1]:+.4f}",
-                 f"{runs[baseline][1] / max(runs[other][1], 1e-9):.2f}x"])
-    print(format_table(
-        ["stage", f"{baseline} s", f"{other} s", "delta", f"{baseline}/"
-         f"{other}"],
-        rows,
-        title=f"{args.workload} {mode.value} engine comparison "
-              f"(results identical)"))
-    append_record("profile_compare", workload=args.workload,
-                  mode=mode.value, scale=args.scale,
-                  baseline=baseline,
-                  baseline_seconds=round(runs[baseline][1], 4),
-                  other=other, other_seconds=round(runs[other][1], 4),
-                  **mesh_fields(config))
-    return 0
-
-
 def cmd_profile(args) -> int:
     """Run one workload+mode and print the simulator's own stage profile."""
     import time as _time
@@ -518,8 +479,6 @@ def cmd_profile(args) -> int:
     config = _mesh_config(args)
     if config is None:
         return 2
-    if args.compare:
-        return _profile_compare(args, mode, config)
     t0 = _time.perf_counter()
     result = run_workload(args.workload, mode, config=config,
                           scale=args.scale, seed=args.seed,
@@ -846,11 +805,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=sorted(MODES), default="ns")
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON")
-    _add_common(run_p)
+    _add_common(run_p, timeout=True, cache=True)
 
     cmp_p = sub.add_parser("compare", help="one workload, every mode")
     cmp_p.add_argument("workload")
-    _add_common(cmp_p)
+    _add_common(cmp_p, jobs=True, timeout=True, cache=True)
 
     sweep_p = sub.add_parser(
         "sweep", help="durable multi-workload sweep (journal + resume)")
@@ -878,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "failure records")
     sweep_p.add_argument("--mesh", type=int, default=None, metavar="N",
                          help="run on an NxN mesh (paper_mesh preset)")
-    _add_common(sweep_p)
+    _add_common(sweep_p, jobs=True, timeout=True, cache=True)
 
     from repro.eval.service import DEFAULT_SOCKET
     serve_p = sub.add_parser(
@@ -900,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--stop", action="store_true",
                          help="shut down the daemon on --socket instead "
                               "of starting one")
-    _add_common(serve_p)
+    _add_common(serve_p, jobs=True, timeout=True, cache=True)
 
     submit_p = sub.add_parser(
         "submit", help="run a sweep through the daemon (repro serve)")
@@ -929,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--timeline", default=None, metavar="FILE",
                           help="write the streamed progress events as a "
                                "Chrome trace timeline")
-    _add_common(submit_p)
+    _add_common(submit_p, jobs=True, timeout=True, cache=True)
 
     status_p = sub.add_parser(
         "status", help="show a running daemon's job queue")
@@ -952,13 +911,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser(
         "report", help="headline paper-vs-measured comparison")
     report_p.add_argument("--workloads", nargs="*")
-    _add_common(report_p)
+    _add_common(report_p, jobs=True, cache=True)
 
     fig_p = sub.add_parser("fig", help="regenerate a paper figure")
     fig_p.add_argument("number")
     fig_p.add_argument("--workloads", nargs="*",
                        help="restrict to these workloads")
-    _add_common(fig_p)
+    _add_common(fig_p, jobs=True, cache=True)
 
     prof_p = sub.add_parser(
         "profile", help="per-stage simulator wall-time breakdown")
@@ -974,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail unless the profiler stages account "
                              "for at least this fraction of the wall "
                              "time (e.g. 0.95)")
-    prof_p.add_argument("--compare", choices=("ref", "batched"),
-                        default=None,
-                        help="run both protocol engines (value = baseline)"
-                             " and print a per-stage delta table")
     prof_p.add_argument("--mesh", type=int, default=None, metavar="N",
                         help="run on an NxN mesh (paper_mesh preset) "
                              "instead of the default 8x8")
@@ -1024,17 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # Validate $REPRO_PROTOCOL_ENGINE before any sweep fans out: a typo
-    # would otherwise fail inside worker processes and surface as an
-    # opaque failed sweep point instead of this one-line hint.  Unset
-    # means the default engine, so only a set value loads the protocol.
-    if os.environ.get("REPRO_PROTOCOL_ENGINE"):
-        from repro.llc.rangesync import resolve_engine
-        try:
-            resolve_engine()
-        except ValueError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
     handlers = {"list": cmd_list, "run": cmd_run, "compare": cmd_compare,
                 "compile": cmd_compile, "table": cmd_table, "fig": cmd_fig,
                 "report": cmd_report, "cache": cmd_cache,

@@ -1,7 +1,8 @@
 """Evaluation harness: one function per paper table and figure.
 
 ``experiments`` computes the data; ``tables`` renders the qualitative
-tables; ``report`` formats text tables. The benchmark suite under
+tables; ``report`` formats text tables and aggregates speedups
+(``geomean``). The benchmark suite under
 ``benchmarks/`` calls these and prints paper-shaped output.
 
 Exports resolve lazily (PEP 562), as in every ``repro`` package:
@@ -26,6 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fig17_scalar_pe": "repro.eval.experiments",
     "run_all_modes": "repro.eval.experiments",
     "format_table": "repro.eval.report",
+    "geomean": "repro.eval.report",
     "ResultCache": "repro.eval.result_cache",
     "config_fingerprint": "repro.eval.result_cache",
     "get_default_cache": "repro.eval.result_cache",

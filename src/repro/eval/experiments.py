@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._lazy import lazy_exports
 from repro.config.system import SystemConfig
-from repro.engine.stats import geomean
+from repro.eval.report import geomean
 from repro.eval.result_cache import ResultCache, config_fingerprint, \
     get_default_cache
 from repro.eval.sweep import SweepPoint, run_sweep

@@ -1,7 +1,9 @@
-"""Plain-text table formatting for the benchmark harness."""
+"""Plain-text table formatting and the speedup aggregate for the
+benchmark harness."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, float, int]
@@ -51,3 +53,16 @@ def format_series(name: str, series: Dict[str, float],
         items = {k: v / base for k, v in series.items()}
     parts = [f"{k}={_fmt(v)}" for k, v in items.items()]
     return f"{name}: " + "  ".join(parts)
+
+
+def geomean(values: List[float]) -> float:
+    """Geometric mean, the paper's aggregate for speedups.
+
+    Raises ``ValueError`` on empty input or non-positive entries, which would
+    silently corrupt a speedup aggregate otherwise.
+    """
+    if not values:
+        raise ValueError("geomean of empty sequence")
+    if any(v <= 0 for v in values):
+        raise ValueError(f"geomean requires positive values, got {values}")
+    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -4,12 +4,11 @@
   buffer capacity, issue rates, scalar PE vs SCM dispatch, and migration
   accounting across banks.
 * :mod:`~repro.llc.rangesync` — the range-based synchronization protocol
-  (§IV-B, Fig 7) as a discrete-event simulation at chunk granularity:
-  credits, ranges, commits, writebacks, done messages, and precise-state
-  recovery episodes.
-* :mod:`~repro.llc.rangesync_batch` — the batched structure-of-arrays
-  protocol engine: advances all concurrent episodes together and is
-  bit-identical to the retained scalar reference.
+  (§IV-B, Fig 7) at chunk granularity: credits, ranges, commits,
+  writebacks, done messages, and precise-state recovery episodes.
+* :mod:`~repro.llc.rangesync_batch` — the protocol engine: a flat
+  per-episode recurrence untraced, a heap replay traced, both
+  bit-identical to the event-driven oracle in ``tests/oracles``.
 * :mod:`~repro.llc.arbiter` — round-robin issue among the streams a bank
   serves concurrently (§IV-B "Streams are issued round-robin").
 * :mod:`~repro.llc.indirect` — efficient indirection support (§IV-C):
@@ -28,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RecoveryResult": "repro.llc.rangesync",
     "run_protocol": "repro.llc.rangesync",
     "run_protocol_batch": "repro.llc.rangesync",
-    "run_protocol_reference": "repro.llc.rangesync",
     "run_recovery": "repro.llc.rangesync",
     "IndirectOrdering": "repro.llc.indirect",
     "indirect_reduction_messages": "repro.llc.indirect",

@@ -149,8 +149,9 @@ class AddressSpace:
         """Virtual -> physical addresses (vectorized).
 
         One ``np.searchsorted`` against the sorted page table; the dict
-        walk it replaced is retained as :meth:`translate_reference` and
-        property-tested equivalent (``tests/mem/test_address.py``).
+        walk it replaced is the oracle ``translate_reference``
+        (``tests/oracles/address.py``), property-tested equivalent in
+        ``tests/mem/test_address.py``.
         """
         vaddr = np.asarray(vaddr, dtype=np.int64)
         pages = vaddr // self.page_bytes
@@ -163,25 +164,11 @@ class AddressSpace:
             clipped = np.minimum(idx, table_pages.size - 1)
             bad = table_pages[clipped] != pages
         if bad.any():
-            # Same message as the reference path, which hits the smallest
+            # Same message as the dict-walk oracle, which hits the smallest
             # unmapped page first (np.unique sorts ascending).
             raise ValueError(
                 f"access to unmapped page {int(pages[bad].min())}")
         return table_frames[idx] * self.page_bytes + offsets
-
-    def translate_reference(self, vaddr: np.ndarray) -> np.ndarray:
-        """The original dict-walk translation, kept as the reference
-        implementation for the vectorized :meth:`translate`."""
-        vaddr = np.asarray(vaddr, dtype=np.int64)
-        pages = vaddr // self.page_bytes
-        offsets = vaddr % self.page_bytes
-        unique, inverse = np.unique(pages, return_inverse=True)
-        try:
-            frames = np.array([self._frame_of_page[int(p)] for p in unique],
-                              dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"access to unmapped page {exc.args[0]}") from exc
-        return frames[inverse] * self.page_bytes + offsets
 
     def physical_range(self, region: Region) -> "tuple[int, int]":
         """Conservative physical [min, max) covering the region's frames."""

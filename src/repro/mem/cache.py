@@ -17,8 +17,8 @@ Both engines first collapse runs of repeated line addresses (element-
 granularity traces of sequential streams revisit the same 64 B line many
 times in a row; every access after the first in a run is a guaranteed hit),
 and both implement exactly the semantics of
-:class:`repro.mem.cache_ref.ScalarCacheModel`, the retained per-access
-reference the equivalence tests check against.
+the per-access ``ScalarCacheModel`` in ``tests/oracles/cache_ref.py``,
+the oracle the equivalence tests check against.
 
 BRRIP insertion randomness is position-addressed: a bulk ``access`` call
 consumes one uniform draw per trace position from a buffered RNG stream and

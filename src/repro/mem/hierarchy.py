@@ -221,7 +221,8 @@ class HierarchyModel:
 
     def walk_elements(self, lines: np.ndarray, writes: np.ndarray,
                       skip_l1: Optional[np.ndarray] = None) -> np.ndarray:
-        """Batched program-order walk; bit-identical to ``access_element``.
+        """Batched program-order walk; bit-identical to the per-element
+        oracle ``access_element`` (``tests/oracles/hierarchy.py``).
 
         Returns an int8 array of served levels (indices into ``LEVELS``)
         for each element. The walk is decomposed by level: the L1 has no
@@ -232,7 +233,7 @@ class HierarchyModel:
         runs with ``draw_per_miss`` so its BRRIP draws are consumed in the
         exact per-miss order of the scalar reference. Only demand L2
         misses reach the shared L3 — victim writebacks that miss the L2
-        are dropped, as in ``access_element``.
+        are dropped, as in the oracle.
         """
         lines = np.asarray(lines, dtype=np.int64)
         n = len(lines)
@@ -283,27 +284,6 @@ class HierarchyModel:
             l3_mask = self.shared_l3.access(lines[l3_pos], writes[l3_pos])
             levels[l3_pos] = np.where(l3_mask, np.int8(2), np.int8(3))
         return levels
-
-    def access_element(self, line: int, write: bool,
-                       skip_l1: bool = False) -> str:
-        """One access through the private hierarchy in program order.
-
-        Returns the level that served it: "l1", "l2", "l3" or "dram".
-        Dirty L1 victims are written back into the L2 (writeback-allocate),
-        so recently written data stays visible to later loads.
-        """
-        if not skip_l1:
-            hit, evicted = self.l1.access_one(line, write)
-            if evicted is not None:
-                self.l2.access_one(evicted, write=True)
-            if hit:
-                return "l1"
-        hit, _ = self.l2.access_one(line, write)
-        if hit:
-            return "l2"
-        l3_hit = self.shared_l3.access(np.array([line], dtype=np.int64),
-                                       np.array([write]))
-        return "l3" if bool(l3_hit[0]) else "dram"
 
     def reset(self) -> None:
         self.l1.reset()

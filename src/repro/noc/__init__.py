@@ -17,6 +17,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "message_bytes": "repro.noc.message",
     "Mesh": "repro.noc.topology",
     "TrafficLedger": "repro.noc.traffic",
-    "DetailedMesh": "repro.noc.detailed",
     "FlowModel": "repro.noc.flow",
 })

@@ -106,8 +106,7 @@ class PhaseEngine:
                  profiler: Optional[Profiler] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
-                 stats: Optional[Dict[str, StreamStats]] = None,
-                 protocol_engine: Optional[str] = None) -> None:
+                 stats: Optional[Dict[str, StreamStats]] = None) -> None:
         """``fault_plan`` injects discrete faults at the real protocol
         sites (SE_L3 TLB aborts, alias false positives, MRSW conflicts,
         SCC evictions — Fig 7 b/c) with a seeded RNG. Each recovery costs
@@ -118,10 +117,7 @@ class PhaseEngine:
         ``stats`` supplies precomputed per-stream :class:`StreamStats`
         (the replay path shares one computation across modes); stats are
         pure in (trace, space, mesh), so passing them is observationally
-        identical to computing them here.
-
-        ``protocol_engine`` selects the range-sync engine (``batched`` /
-        ``reference``); ``None`` defers to ``$REPRO_PROTOCOL_ENGINE``."""
+        identical to computing them here."""
         self.config = config
         self.space = space
         self.program = program
@@ -151,7 +147,6 @@ class PhaseEngine:
         self.events = EventCounts()
         self.lock_stats: Optional[LockStats] = None
         self._protocol_cache: Dict[Tuple, object] = {}
-        self.protocol_engine = protocol_engine
         self.profiler = profiler if profiler is not None else Profiler()
         # A null plan is normalized away so fault-free runs stay strict
         # no-ops (no RNGs constructed, no stats attached).
@@ -790,14 +785,13 @@ class PhaseEngine:
         return (stream.sid, chunks), params, chunks
 
     def _prepare_protocols(self) -> None:
-        """Run every eligible stream's episode through one engine batch.
+        """Run every eligible stream's episode in one engine call.
 
-        This is where the batched engine earns its keep: instead of one
-        engine invocation per ``protocol_for`` call (linear in bank and
-        stream count), all concurrent episodes of the phase advance in a
-        single structure-of-arrays pass. ``protocol_for`` then serves
-        results from the cache, with a lazy single-episode fallback for
-        a caller that reaches a stream this pass skipped.
+        One episode per offloaded stream goes into the batch, so a batch
+        holds a handful of episodes whatever the mesh size.
+        ``protocol_for`` then serves results from the cache, with a lazy
+        single-episode fallback for a caller that reaches a stream this
+        pass skipped.
         """
         entries = []
         for stream in self.program.graph:
@@ -814,8 +808,7 @@ class PhaseEngine:
             [params for _, (_, params, _) in entries],
             tracer=self.tracer,
             labels=[f"{self.phase.kernel.name}/{stream.name}"
-                    for stream, _ in entries],
-            engine=self.protocol_engine)
+                    for stream, _ in entries])
         for (_, (key, _, chunks)), result in zip(entries, results):
             self._protocol_cache[key] = (result, chunks)
 
@@ -830,8 +823,7 @@ class PhaseEngine:
             return self._protocol_cache[key]
         result = run_protocol_batch(
             [params], tracer=self.tracer,
-            labels=[f"{self.phase.kernel.name}/{stream.name}"],
-            engine=self.protocol_engine)[0]
+            labels=[f"{self.phase.kernel.name}/{stream.name}"])[0]
         self._protocol_cache[key] = (result, chunks)
         return self._protocol_cache[key]
 
@@ -1323,8 +1315,8 @@ class PhaseEngine:
         self.flow.set_window(est)
         with prof.stage("phase.traffic"):
             self.build_traffic()
-        # All concurrent episodes advance in one batched engine pass per
-        # flow window; injection/timing then read the protocol cache.
+        # Every stream's episode runs in one engine call per flow window;
+        # injection/timing then read the protocol cache.
         with prof.stage("phase.protocol.engine"):
             self._prepare_protocols()
         with prof.stage("phase.protocol"):

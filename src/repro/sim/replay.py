@@ -16,8 +16,8 @@ reconstructed :class:`~repro.workloads.base.Phase` objects carry the
 same arrays (values and order) the live build produced, and
 :class:`~repro.sim.phase.PhaseEngine` is deterministic in its inputs.
 The property suite ``tests/sim/test_replay_equivalence.py`` enforces
-this for all workloads and modes with the same discipline as
-``cache_ref`` and ``analyze_reference``.
+this for all workloads and modes with the same discipline as the
+scalar-oracle suites (``tests/oracles``).
 
 Persistence rides the same checksummed-envelope, content-addressed store
 as simulation results (:mod:`repro.workloads.build_cache` holds the

@@ -38,7 +38,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
                  use_replay: bool = True,
-                 protocol_engine: Optional[str] = None,
                  heartbeat: Optional[Callable[[], None]] = None
                  ) -> SimResult:
     """Simulate one workload under one execution mode.
@@ -77,11 +76,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     implicitly enables a strict sanitizing tracer.  The run's metrics
     snapshot lands on ``SimResult.trace`` (like ``profile``, excluded
     from equality and serialization).
-
-    ``protocol_engine`` picks the range-sync engine (``batched``, the
-    default, or the scalar ``reference``); ``None`` defers to
-    ``$REPRO_PROTOCOL_ENGINE``.  Both engines are bit-identical, so the
-    choice never changes results — only how fast protocol episodes run.
 
     ``heartbeat`` is an optional zero-arg liveness callback invoked at
     each phase boundary; sweep workers pass one so a hung phase is
@@ -174,8 +168,7 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                                  machine.hierarchies,
                                  sample_cores=sample_cores,
                                  profiler=profiler, fault_plan=fault_plan,
-                                 tracer=tracer, stats=stats,
-                                 protocol_engine=protocol_engine)
+                                 tracer=tracer, stats=stats)
         outcome = engine.execute()
         if outcome.fault_stats is not None:
             fault_stats = (outcome.fault_stats if fault_stats is None

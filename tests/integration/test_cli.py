@@ -162,21 +162,70 @@ def test_bad_mesh_rejected_with_hint(command, mesh, capsys):
     assert "Traceback" not in err
 
 
-def test_bad_engine_env_rejected_before_sweep(monkeypatch, capsys):
-    """A typoed $REPRO_PROTOCOL_ENGINE exits 2 with the accepted list
-    instead of failing opaquely inside sweep workers."""
-    monkeypatch.setenv("REPRO_PROTOCOL_ENGINE", "bogus")
-    assert main(["run", "memset", *SMALL]) == 2
+#: The commands that take --scale, each with a valid rest of its argv.
+SCALED_COMMANDS = {
+    "run": ["run", "histogram"],
+    "compare": ["compare", "histogram"],
+    "sweep": ["sweep", "histogram"],
+    "compile": ["compile", "histogram"],
+    "fig": ["fig", "9", "--workloads", "histogram"],
+    "report": ["report", "--workloads", "histogram"],
+    "profile": ["profile", "histogram"],
+    "trace": ["trace", "histogram"],
+    "faults": ["faults", "histogram"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCALED_COMMANDS))
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1.5"])
+def test_bad_scale_rejected_before_any_run(command, scale, capsys):
+    """--scale outside (0, 1] is a usage error: exit 2 with one message
+    naming the flag, no traceback, no simulation."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*SCALED_COMMANDS[command], "--scale", scale])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown protocol engine" in err and "batched" in err
+    assert "--scale" in err and "(0, 1]" in err
+    assert "Traceback" not in err
 
 
-def test_profile_compare_engines(capsys):
-    assert main(["profile", "memset", "--compare", "ref", *SMALL]) == 0
-    out = capsys.readouterr().out
-    assert "results identical" in out
-    assert "reference s" in out and "batched s" in out
-    assert "total (wall)" in out
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_failed_point_prints_failure_table_and_exits_1(command, capsys,
+                                                      monkeypatch):
+    import repro.sim.run as run_mod
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("injected CLI failure")
+
+    monkeypatch.setattr(run_mod, "run_workload", explode)
+    assert main([command, "histogram", *SMALL]) == 1
+    err = capsys.readouterr().err
+    assert "failed point(s)" in err and "injected CLI failure" in err
+    assert "Traceback" not in err
+
+
+#: Flags a subcommand used to accept without its handler reading them.
+IGNORED_FLAGS = {
+    "run": ["--jobs"],
+    "compile": ["--jobs", "--timeout", "--cache", "--cache-dir"],
+    "report": ["--timeout"],
+    "fig": ["--timeout"],
+    "profile": ["--jobs", "--timeout", "--cache", "--cache-dir"],
+    "trace": ["--jobs", "--timeout", "--cache", "--cache-dir"],
+    "faults": ["--jobs", "--timeout", "--cache", "--cache-dir"],
+}
+FLAG_VALUES = {"--jobs": ["2"], "--timeout": ["5"], "--cache": [],
+               "--cache-dir": ["unused_dir"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in IGNORED_FLAGS.items()
+    for flag in flags])
+def test_flags_the_handler_never_reads_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*SCALED_COMMANDS[command], flag, *FLAG_VALUES[flag]])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_sweep_command_with_journal_and_resume(tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""Batched protocol engine == scalar reference, bit for bit.
+"""The protocol engine == the event-driven oracle, bit for bit.
 
-The batched engine is only allowed to exist because it is
-indistinguishable from the retained event-engine reference: same
+The engine is only allowed to exist because it is indistinguishable from
+the event-driven episode in ``tests/oracles/rangesync.py``: same
 cycles/iterations/throughput, same message inventories (same key order,
 same value types), and — when traced — the same event stream in the same
 order, so the strict sanitizer performs the same checks and the metrics
@@ -11,15 +11,13 @@ histograms accumulate in the same float order.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.llc import (
-    ProtocolParams,
-    run_protocol,
-    run_protocol_batch,
-    run_protocol_reference,
-)
-from repro.llc.rangesync import ENV_PROTOCOL_ENGINE, resolve_engine
+from repro.llc import ProtocolParams, run_protocol, run_protocol_batch
 from repro.llc.rangesync_batch import run_batch
 from repro.trace.tracer import Tracer
+from tests.oracles.rangesync import (
+    run_protocol_batch_reference,
+    run_protocol_reference,
+)
 
 PARAMS = st.fixed_dictionaries({
     "chunk_iters": st.sampled_from([8, 64, 128]),
@@ -57,22 +55,15 @@ def test_flat_path_matches_reference(raw):
     assert_results_identical(ref, got)
 
 
-@settings(max_examples=120, deadline=None)
-@given(PARAMS)
-def test_soa_path_matches_reference(raw):
-    params = ProtocolParams(**raw)
-    ref = run_protocol_reference(params)
-    got = run_batch([params], soa_min=1)[0]
-    assert_results_identical(ref, got)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(PARAMS, min_size=2, max_size=8))
 def test_mixed_batch_soa_order_and_identity(raws):
-    """A heterogeneous batch through the SoA pass, in batch order."""
+    """A heterogeneous batch through the flat path, in batch order."""
     batch = [ProtocolParams(**raw) for raw in raws]
     refs = [run_protocol_reference(p) for p in batch]
-    for got, ref in zip(run_batch(batch, soa_min=1), refs):
+    gots = run_batch(batch)
+    assert len(gots) == len(refs)
+    for got, ref in zip(gots, refs):
         assert_results_identical(ref, got)
 
 
@@ -114,47 +105,19 @@ def test_traced_batch_matches_sequential_reference(raws):
 
 
 # ----------------------------------------------------------------------
-# Engine dispatch
+# Public entry points: the engine per call vs the oracle
 # ----------------------------------------------------------------------
-def test_resolve_engine_aliases():
-    assert resolve_engine("batched") == "batched"
-    assert resolve_engine("soa") == "batched"
-    assert resolve_engine(" SoA ") == "batched"
-    assert resolve_engine("ref") == "reference"
-    assert resolve_engine("reference") == "reference"
-    assert resolve_engine("scalar") == "reference"
-
-
-def test_resolve_engine_defaults_to_batched(monkeypatch):
-    monkeypatch.delenv(ENV_PROTOCOL_ENGINE, raising=False)
-    assert resolve_engine() == "batched"
-    monkeypatch.setenv(ENV_PROTOCOL_ENGINE, "")
-    assert resolve_engine() == "batched"
-
-
-def test_resolve_engine_reads_env(monkeypatch):
-    monkeypatch.setenv(ENV_PROTOCOL_ENGINE, "ref")
-    assert resolve_engine() == "reference"
-    # An explicit argument wins over the env var.
-    assert resolve_engine("batched") == "batched"
-
-
-def test_resolve_engine_rejects_unknown():
-    with pytest.raises(ValueError, match="batched.*reference|ref"):
-        resolve_engine("vectorised")
-
-
 def test_run_protocol_dispatches_per_engine():
     params = ProtocolParams()
-    ref = run_protocol(params, engine="reference")
-    got = run_protocol(params, engine="batched")
-    assert_results_identical(ref, got)
+    assert_results_identical(run_protocol_reference(params),
+                             run_protocol(params))
 
 
 def test_run_protocol_batch_reference_engine_loops():
     batch = [ProtocolParams(n_chunks=n) for n in (1, 3, 5)]
-    refs = run_protocol_batch(batch, engine="reference")
-    gots = run_protocol_batch(batch, engine="batched")
+    refs = run_protocol_batch_reference(batch)
+    gots = run_protocol_batch(batch)
+    assert len(gots) == len(refs)
     for ref, got in zip(refs, gots):
         assert_results_identical(ref, got)
 

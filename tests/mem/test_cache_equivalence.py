@@ -1,9 +1,10 @@
-"""Vectorized CacheModel vs the retained scalar reference.
+"""Vectorized CacheModel vs the scalar oracle.
 
 Property tests: on any trace, both CacheModel engines (the per-access
 scalar fallback and the batched wavefront) must report exactly the same
 hits, misses, evictions, dirty evictions, and per-access hit mask as
-:class:`repro.mem.cache_ref.ScalarCacheModel`, for both LRU and BRRIP.
+``ScalarCacheModel`` (``tests/oracles/cache_ref.py``), for both LRU and
+BRRIP.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.mem.cache import CacheModel, ReplacementPolicy
-from repro.mem.cache_ref import ScalarCacheModel
+from tests.oracles.cache_ref import ScalarCacheModel
 
 GEOMETRIES = [(4, 2), (2, 8), (16, 4)]
 POLICIES = [ReplacementPolicy.LRU, ReplacementPolicy.BRRIP]

@@ -6,6 +6,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.mem import AddressSpace, HierarchyModel
 from repro.mem.hierarchy import PrefetchModel, SharedL3Model
+from tests.oracles.hierarchy import access_element
 
 
 def build(scale=1.0 / 64.0):
@@ -82,11 +83,11 @@ def test_access_element_matches_run_trace_levels():
     r = space.allocate("a", 2048, 8)
     vaddrs = r.element_vaddr(np.arange(0, 2048, 8))  # one per line
     lines = space.translate(vaddrs) >> 6
-    levels = [hier.access_element(int(l), False) for l in lines.tolist()]
+    levels = [access_element(hier, int(l), False) for l in lines.tolist()]
     assert all(level in ("l1", "l2", "l3", "dram") for level in levels)
     # Re-touch: everything recently accessed within L1+L2 capacity hits
     # private levels or L3 at worst.
-    levels2 = [hier.access_element(int(l), False) for l in lines.tolist()]
+    levels2 = [access_element(hier, int(l), False) for l in lines.tolist()]
     assert levels2.count("dram") == 0
 
 
@@ -95,8 +96,8 @@ def test_l1_dirty_victims_install_into_l2():
     # Write lines exceeding L1 but fitting L2, then read them back.
     n_lines = hier.l1.sets * hier.l1.assoc * 2
     for line in range(n_lines):
-        hier.access_element(line, write=True)
-    hits_l2 = sum(hier.access_element(line, write=False) == "l2"
+        access_element(hier, line, write=True)
+    hits_l2 = sum(access_element(hier, line, write=False) == "l2"
                   for line in range(n_lines // 2))
     assert hits_l2 > 0, "dirty L1 victims must be visible in L2"
 

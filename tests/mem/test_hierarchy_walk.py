@@ -1,8 +1,8 @@
-"""Batched hierarchy walk vs the retained per-element reference.
+"""Batched hierarchy walk vs the per-element oracle.
 
 Property tests: on any trace, :meth:`HierarchyModel.walk_elements` must
-serve every element from exactly the level the retained
-:meth:`HierarchyModel.access_element` loop serves it from, and leave the
+serve every element from exactly the level the per-element
+``access_element`` oracle (``tests/oracles/hierarchy.py``) serves it from, and leave the
 L1/L2/L3 models in identical states — including BRRIP draw consumption
 in the L2 and dirty-L1 victims chained into the L2 stream.
 """
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.mem.hierarchy import HierarchyModel, SharedL3Model
+from tests.oracles.hierarchy import access_element
 
 SCALES = [1e-9, 1.0 / 4096.0]  # floor-sized and small private caches
 
@@ -67,7 +68,7 @@ def test_walk_matches_element_loop(use_skip, data):
         levels = fast.walk_elements(lines, writes, skips)
         skip_list = skips if skips is not None else np.zeros(len(lines),
                                                             dtype=bool)
-        expect = [ref.access_element(int(l), bool(w), bool(s))
+        expect = [access_element(ref, int(l), bool(w), bool(s))
                   for l, w, s in zip(lines, writes, skip_list)]
         got = [HierarchyModel.LEVELS[v] for v in levels.tolist()]
         assert got == expect, (use_skip, scale, chunk)
@@ -94,7 +95,7 @@ def test_walk_matches_element_loop_long_trace():
     fast = _build(1.0 / 1024.0)
     ref = _build(1.0 / 1024.0)
     levels = fast.walk_elements(lines, writes, skips)
-    expect = [ref.access_element(int(l), bool(w), bool(s))
+    expect = [access_element(ref, int(l), bool(w), bool(s))
               for l, w, s in zip(lines, writes, skips)]
     assert [HierarchyModel.LEVELS[v] for v in levels.tolist()] == expect
     _assert_same_state(fast, ref, "long")

@@ -10,6 +10,7 @@ from repro.mem.locks import (
     LockStats,
     contention_eliminated,
 )
+from tests.oracles.locks import analyze_reference
 
 
 def analyze(kind, lines, modifies, streams=None, window=8):
@@ -116,13 +117,13 @@ def _assert_stats_equal(fast, ref, context):
                 min_size=1, max_size=200),
        st.integers(1, 12))
 def test_vectorized_matches_reference(kind, ops, window):
-    """analyze (segment ops) == analyze_reference (per-window loop)."""
+    """analyze (segment ops) == the per-window oracle loop."""
     lines = np.array([o[0] for o in ops])
     modifies = np.array([o[1] for o in ops], dtype=bool)
     streams = np.array([o[2] for o in ops])
     model = LockModel(kind, window)
     _assert_stats_equal(model.analyze(lines, modifies, streams),
-                        model.analyze_reference(lines, modifies, streams),
+                        analyze_reference(model, lines, modifies, streams),
                         (kind, window, ops))
 
 
@@ -140,7 +141,7 @@ def test_vectorized_matches_reference_randomized(kind):
         model = LockModel(kind, window)
         _assert_stats_equal(
             model.analyze(lines, modifies, streams),
-            model.analyze_reference(lines, modifies, streams),
+            analyze_reference(model, lines, modifies, streams),
             (kind, trial, n, window))
 
 
@@ -156,7 +157,7 @@ def test_vectorized_matches_reference_huge_line_ids(kind):
     streams = rng.integers(0, 16, size=n)
     model = LockModel(kind, window=64)
     _assert_stats_equal(model.analyze(lines, modifies, streams),
-                        model.analyze_reference(lines, modifies, streams),
+                        analyze_reference(model, lines, modifies, streams),
                         kind)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import NocConfig
 from repro.noc import FlowModel, Mesh, MessageType
-from repro.noc.detailed import DetailedMesh
+from tests.oracles.noc_detailed import DetailedMesh
 
 
 def test_single_packet_latency_is_pipeline_floor():

@@ -1,8 +1,8 @@
 """Replay must be bit-identical to live execution — the core invariant of
 the functional-trace fast path.
 
-Same discipline as the ``cache_ref`` and ``analyze_reference``
-equivalence suites: the optimized path (record once, replay everywhere)
+Same discipline as the scalar-oracle equivalence suites
+(``tests/oracles``): the optimized path (record once, replay everywhere)
 is property-tested against the retained live path for every workload and
 mode, on ``SimResult.to_dict()`` (the repo's bit-identity convention)
 plus the full per-message-type traffic inventory and the strict

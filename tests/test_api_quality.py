@@ -1,8 +1,8 @@
 """Repository-wide API quality gates.
 
-Every public module, class, and function in ``repro`` must carry a
-docstring, and the package must import cleanly without side effects beyond
-registration.
+Every public module, class, and function in ``repro`` — and in the scalar
+oracles under ``tests/oracles`` — must carry a docstring, and the package
+must import cleanly without side effects beyond registration.
 """
 
 import importlib
@@ -12,16 +12,18 @@ import pkgutil
 import pytest
 
 import repro
+from tests import oracles
 
 SKIP_PREFIXES = ("_",)
 
 
 def walk_modules():
     out = []
-    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if any(part.startswith("_") for part in info.name.split(".")):
-            continue
-        out.append(info.name)
+    for package, prefix in ((repro, "repro."), (oracles, "tests.oracles.")):
+        for info in pkgutil.walk_packages(package.__path__, prefix=prefix):
+            if any(part.startswith("_") for part in info.name.split(".")):
+                continue
+            out.append(info.name)
     return out
 
 
