@@ -54,7 +54,8 @@ from repro.config.system import SystemConfig
 from repro.eval.report import format_table
 from repro.eval.result_cache import ResultCache, get_default_cache, \
     set_default_cache
-from repro.eval.sweep import SweepPoint, SweepResults, run_sweep
+from repro.eval.sweep import SweepFailed, SweepPoint, SweepResults, \
+    run_sweep
 from repro.offload.modes import ExecMode
 from repro.workloads import WORKLOAD_NAMES
 
@@ -986,7 +987,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "trace": cmd_trace, "sweep": cmd_sweep,
                 "serve": cmd_serve, "submit": cmd_submit,
                 "status": cmd_status}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except SweepFailed as exc:
+        # A figure (fig, report) refuses a sweep with failed points.
+        _print_failures(exc.results)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "point_key": "repro.eval.result_cache",
     "set_default_cache": "repro.eval.result_cache",
     "FailedPoint": "repro.eval.sweep",
+    "SweepFailed": "repro.eval.sweep",
     "SweepInterrupted": "repro.eval.sweep",
     "SweepJournal": "repro.eval.journal",
     "SweepPoint": "repro.eval.sweep",

@@ -87,7 +87,12 @@ class EvalConfig:
 
     def sweep(self, points: Sequence[SweepPoint]
               ) -> Dict[SweepPoint, SimResult]:
-        return run_sweep(points, jobs=self.jobs, cache=self.result_cache())
+        """Every point's result; raises
+        :class:`~repro.eval.sweep.SweepFailed` if any point failed, so a
+        figure never reads (and ``run_all_modes`` never memoizes) a
+        partial sweep."""
+        return run_sweep(points, jobs=self.jobs,
+                         cache=self.result_cache()).raise_on_failure()
 
 
 _SWEEP_CACHE: Dict[Tuple, Dict[str, Dict[ExecMode, SimResult]]] = {}

@@ -112,6 +112,19 @@ class SweepInterrupted(SystemExit):
         self.exit_code = 128 + int(signum)
 
 
+class SweepFailed(RuntimeError):
+    """Some points of a sweep failed; raised by
+    :meth:`SweepResults.raise_on_failure`.  ``results`` holds the
+    completed points and the failure records, so a caller can still
+    print the failure table."""
+
+    def __init__(self, results: "SweepResults") -> None:
+        lines = "\n  ".join(f.summary() for f in results.failures)
+        super().__init__(f"{len(results.failures)} sweep point(s) "
+                         f"failed:\n  {lines}")
+        self.results = results
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One simulation to run: a workload under a mode on a config."""
@@ -181,11 +194,10 @@ class SweepResults(Dict[SweepPoint, "SimResult"]):
         return not self.failures
 
     def raise_on_failure(self) -> "SweepResults":
-        """Old strict behavior: raise if anything failed."""
+        """Old strict behavior: raise :class:`SweepFailed` if anything
+        failed."""
         if self.failures:
-            lines = "\n  ".join(f.summary() for f in self.failures)
-            raise RuntimeError(
-                f"{len(self.failures)} sweep point(s) failed:\n  {lines}")
+            raise SweepFailed(self)
         return self
 
     def to_dict(self, verbose: bool = False) -> Dict[str, Any]:

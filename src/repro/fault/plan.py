@@ -28,9 +28,10 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FaultSite(Enum):
@@ -101,6 +102,9 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def rng(self, site: FaultSite, *key: object) -> np.random.Generator:
         """An RNG whose stream depends only on (seed, site, key)."""
+        # numpy loads here, not with the module: a stored SimResult names
+        # FaultStats, and a cached lookup needs no numpy (DESIGN.md §5i).
+        import numpy as np
         material = "\x1f".join([str(self.seed), site.value]
                                + [str(k) for k in key])
         digest = hashlib.sha256(material.encode()).digest()
@@ -123,6 +127,7 @@ class FaultPlan:
     def draw_chunk_indices(self, site: FaultSite, n_events: int,
                            n_chunks: int, *key: object) -> np.ndarray:
         """The credit-chunk indices at which each fault fires (sorted)."""
+        import numpy as np
         if n_events <= 0 or n_chunks <= 0:
             return np.empty(0, dtype=np.int64)
         rng = self.rng(site, "chunk", *key)
@@ -132,6 +137,7 @@ class FaultPlan:
     def draw_uncommitted_depths(self, site: FaultSite, n_events: int,
                                 max_chunks: int, *key: object) -> np.ndarray:
         """Uncommitted credit chunks discarded by each recovery episode."""
+        import numpy as np
         if n_events <= 0:
             return np.empty(0, dtype=np.int64)
         rng = self.rng(site, "depth", *key)

@@ -21,8 +21,10 @@ from __future__ import annotations
 from collections import Counter as PyCounter
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LockKind(Enum):
@@ -125,6 +127,9 @@ class LockModel:
             same_stream: stream id per op; ops sharing a stream never
                 conflict with each other (ordered by their SE_L3).
         """
+        # numpy loads here, not with the module: a stored SimResult names
+        # LockStats, and a cached lookup needs no numpy (DESIGN.md §5i).
+        import numpy as np
         lines = np.asarray(lines, dtype=np.int64)
         modifies = np.asarray(modifies, dtype=bool)
         if len(lines) != len(modifies):
@@ -156,6 +161,7 @@ class LockModel:
         than the equivalent whole-trace lexsort. The lexsort path is kept
         for line ids too large to pack into the combined key.
         """
+        import numpy as np
         n = len(lines)
         smax = int(streams.max()) + 1
         if (int(lines.min()) >= 0 and int(streams.min()) >= 0
@@ -232,6 +238,7 @@ class LockModel:
         apply one after another no matter the window. Under MRSW only
         value-modifying operations serialize; exclusive locks serialize
         every operation on a contended line."""
+        import numpy as np
         if len(lines) == 0:
             return
         # Failed operations release the exclusive lock after a quick

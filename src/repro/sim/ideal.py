@@ -18,7 +18,7 @@ removes ~64%; the Fig 1b bench checks those shapes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,25 +33,76 @@ from repro.workloads.base import make_workload
 PERFECT_CACHE_BYTES = 256 * 1024
 
 
-class _ByteLru:
-    """Byte-granularity fully-associative LRU (element-keyed)."""
+def _byte_lru_misses(addrs: List[int], sizes: List[int],
+                     capacity: int) -> List[bool]:
+    """Feed elements in order through a byte-granularity, fully
+    associative LRU of ``capacity`` bytes (element-keyed); True per miss.
+    """
+    entries: "OrderedDict[int, int]" = OrderedDict()  # addr -> size
+    touch = entries.move_to_end
+    evict = entries.popitem
+    used = 0
+    misses = []
+    for addr, size in zip(addrs, sizes):
+        if addr in entries:
+            touch(addr)
+            misses.append(False)
+            continue
+        entries[addr] = size
+        used += size
+        while used > capacity and entries:
+            used -= evict(last=False)[1]
+        misses.append(True)
+    return misses
 
-    def __init__(self, capacity_bytes: int) -> None:
-        self.capacity = capacity_bytes
-        self._entries: "OrderedDict[int, int]" = OrderedDict()  # addr -> size
-        self._bytes = 0
 
-    def access(self, addr: int, size: int) -> bool:
-        """Touch one element; True on hit."""
-        if addr in self._entries:
-            self._entries.move_to_end(addr)
-            return True
-        self._entries[addr] = size
-        self._bytes += size
-        while self._bytes > self.capacity and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted
-        return False
+def _sum_in_order(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...`` added left to right, as a
+    Python loop adds them (``np.sum`` adds pairwise and can round
+    differently)."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
+def _perfect_cache_hop_bytes(phase, stats, hop_bytes_of, sample_ids,
+                             n_cores: int, cache_bytes: int
+                             ) -> Tuple[float, float]:
+    """(all, missed) bytes x hops of the sampled cores' accesses through
+    a perfect private cache: one byte-LRU per sampled core shared by all
+    its streams, fed in iteration order (cross-stream reuse counts).
+
+    A core's streams interleave by iteration position, element ``k`` of
+    an ``n``-element slice sitting at ``k * (total_iters / n)``; ties
+    keep stream order, then element order (a stable sort).
+    """
+    total_iters = max(phase.kernel.total_iterations, 1.0)
+    sampled_all = 0.0
+    sampled_miss = 0.0
+    for core in sample_ids:
+        positions, addrs, sizes, hop_bytes = [], [], [], []
+        for name, st in stats.items():
+            if st.elements == 0:
+                continue
+            trace = phase.traces[name]
+            sl = trace.slice_for(core, n_cores)
+            vaddrs = trace.vaddrs[sl]
+            n = len(vaddrs)
+            if n == 0:
+                continue
+            positions.append(np.arange(n, dtype=np.float64)
+                             * (total_iters / n))
+            addrs.append(vaddrs)
+            sizes.append(np.full(n, st.element_bytes, dtype=np.int64))
+            hop_bytes.append(hop_bytes_of[name][sl])
+        if not positions:
+            continue
+        order = np.argsort(np.concatenate(positions), kind="stable")
+        missed = np.array(_byte_lru_misses(
+            np.concatenate(addrs)[order].tolist(),
+            np.concatenate(sizes)[order].tolist(), cache_bytes), dtype=bool)
+        weights = np.concatenate(hop_bytes)[order].astype(np.float64)
+        sampled_all = _sum_in_order(sampled_all, weights)
+        sampled_miss = _sum_in_order(sampled_miss, weights[missed])
+    return sampled_all, sampled_miss
 
 
 def ideal_traffic(workload, config: Optional[SystemConfig] = None,
@@ -97,7 +148,6 @@ def ideal_traffic(workload, config: Optional[SystemConfig] = None,
     for index, (phase, program) in enumerate(recorded.phase_programs()):
         stats = recorded.stats_for(index, phase, mesh, hmat)
         inv = phase.invocations
-        total_iters = max(phase.kernel.total_iterations, 1.0)
 
         hop_bytes_of = {}
         for name, st in stats.items():
@@ -107,32 +157,8 @@ def ideal_traffic(workload, config: Optional[SystemConfig] = None,
             hop_bytes_of[name] = hop_bytes
             no_priv += float(hop_bytes.sum()) * inv
 
-        # Perfect private cache: one byte-LRU per sampled core shared by
-        # all streams, fed in iteration order (cross-stream reuse counts).
-        sampled_miss = 0.0
-        sampled_all = 0.0
-        for core in sample_ids:
-            lru = _ByteLru(cache_bytes)
-            merged = []
-            for name, st in stats.items():
-                if st.elements == 0:
-                    continue
-                trace = phase.traces[name]
-                sl = trace.slice_for(core, n_cores)
-                vaddrs = trace.vaddrs[sl]
-                if len(vaddrs) == 0:
-                    continue
-                stride = total_iters / len(vaddrs)
-                seg = hop_bytes_of[name][sl]
-                merged.extend(
-                    (k * stride, int(a), st.element_bytes, float(h))
-                    for k, (a, h) in enumerate(zip(vaddrs.tolist(),
-                                                   seg.tolist())))
-            merged.sort(key=lambda t: t[0])
-            for _, addr, size, hops_bytes in merged:
-                sampled_all += hops_bytes
-                if not lru.access(addr, size):
-                    sampled_miss += hops_bytes
+        sampled_all, sampled_miss = _perfect_cache_hop_bytes(
+            phase, stats, hop_bytes_of, sample_ids, n_cores, cache_bytes)
         phase_no_priv = sum(float(h.sum()) for h in hop_bytes_of.values())
         if sampled_all > 0:
             perf_priv += (sampled_miss / sampled_all) * phase_no_priv * inv

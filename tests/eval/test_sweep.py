@@ -4,11 +4,13 @@ import os
 
 import pytest
 
+import repro.eval.experiments
 import repro.sim.run
 import repro.workloads
 from repro.config import SystemConfig
 from repro.eval.experiments import _SWEEP_CACHE, EvalConfig, run_all_modes
-from repro.eval.sweep import SweepPoint, resolve_jobs, run_sweep
+from repro.eval.sweep import SweepFailed, SweepPoint, resolve_jobs, \
+    run_sweep
 from repro.offload.modes import ExecMode
 
 SCALE = 1.0 / 256.0
@@ -42,6 +44,21 @@ def test_run_all_modes_parallel_matches_serial():
         for mode in MODES:
             assert serial[name][mode].to_dict() == \
                 parallel[name][mode].to_dict()
+
+
+def test_figure_sweep_with_a_failed_point_raises_and_is_not_memoized(
+        monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("injected figure failure")
+
+    monkeypatch.setattr(repro.sim.run, "run_workload", explode)
+    monkeypatch.setattr(repro.eval.experiments, "_SWEEP_CACHE", {})
+    cfg = EvalConfig(scale=SCALE, workloads=("histogram",), jobs=1)
+    with pytest.raises(SweepFailed, match="injected figure failure") \
+            as excinfo:
+        run_all_modes(cfg, MODES)
+    assert len(excinfo.value.results.failures) == len(MODES)
+    assert not repro.eval.experiments._SWEEP_CACHE
 
 
 def test_workload_built_once_per_group(monkeypatch):

@@ -189,16 +189,29 @@ def test_bad_scale_rejected_before_any_run(command, scale, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
+#: Commands that sweep, each with a valid rest of its argv.
+SWEEPING_COMMANDS = {
+    "run": ["run", "histogram"],
+    "compare": ["compare", "histogram"],
+    "fig9": ["fig", "9", "--workloads", "histogram"],
+    "fig16": ["fig", "16"],
+    "report": ["report", "--workloads", "histogram"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPING_COMMANDS))
 def test_failed_point_prints_failure_table_and_exits_1(command, capsys,
                                                       monkeypatch):
+    import repro.eval.experiments as experiments
     import repro.sim.run as run_mod
 
     def explode(*args, **kwargs):
         raise RuntimeError("injected CLI failure")
 
     monkeypatch.setattr(run_mod, "run_workload", explode)
-    assert main([command, "histogram", *SMALL]) == 1
+    # A figure memoized by an earlier test would never sweep.
+    monkeypatch.setattr(experiments, "_SWEEP_CACHE", {})
+    assert main([*SWEEPING_COMMANDS[command], *SMALL]) == 1
     err = capsys.readouterr().err
     assert "failed point(s)" in err and "injected CLI failure" in err
     assert "Traceback" not in err

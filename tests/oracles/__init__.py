@@ -12,6 +12,8 @@ runtime code against them.
   (``LockModel.analyze``);
 * :mod:`~tests.oracles.address` — dict-walk address translation
   (``AddressSpace.translate``);
+* :mod:`~tests.oracles.ideal` — Fig 1(b)'s per-element perfect private
+  cache (``repro.sim.ideal``);
 * :mod:`~tests.oracles.rangesync` — the event-driven range-sync episode
   (``repro.llc.rangesync_batch``);
 * :mod:`~tests.oracles.engine` — the discrete-event kernel that episode

@@ -4,10 +4,12 @@ import pickle
 
 import pytest
 
+import repro.sim.ideal as ideal_mod
 from repro.config import SystemConfig
 from repro.sim import ideal_traffic
 from repro.workloads import WORKLOAD_NAMES, make_workload
 from repro.workloads.build_cache import load_or_record
+from tests.oracles.ideal import perfect_cache_reference
 
 SCALE = 1.0 / 256.0
 
@@ -71,6 +73,18 @@ def test_stored_trace_measures_like_the_live_workload(name):
     live = make_workload(name, scale=SCALE)
     assert ideal_traffic(stored, config=config) \
         == ideal_traffic(live, config=config)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_perfect_cache_matches_the_per_element_oracle(name, monkeypatch):
+    """The array-built perfect private cache gives exactly the floats of
+    the per-element merge-and-sort loop, on every kernel."""
+    config = SystemConfig.ooo8()
+    trace = load_or_record(name, SCALE, 42, config, cache=None)
+    fast = ideal_traffic(trace, config=config)
+    monkeypatch.setattr(ideal_mod, "_perfect_cache_hop_bytes",
+                        perfect_cache_reference)
+    assert ideal_traffic(trace, config=config) == fast
 
 
 def test_trace_from_another_layout_is_refused():
