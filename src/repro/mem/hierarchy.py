@@ -78,11 +78,13 @@ class AccessProfile:
 
 
 class SharedL3Model:
-    """Machine-wide L3 occupancy model (FIFO over resident lines).
+    """Machine-wide L3 occupancy model (LRU over resident lines).
 
     Tracks residency of physical lines across the whole static-NUCA L3. It is
     shared between cores, so one core's fetch warms the cache for everyone —
     the property that makes near-LLC computing attractive in the first place.
+    A hit moves its line to the most-recently-used end; a miss past
+    ``capacity_lines`` evicts the least recently used line.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -278,7 +280,7 @@ class HierarchyModel:
         demand_hit = l2_res.hit_mask[is_demand[order]]
         levels[demand_pos[demand_hit]] = 1
 
-        # L3: demand L2 misses only, in program order (FIFO model).
+        # L3: demand L2 misses only, in program order (LRU model).
         l3_pos = demand_pos[~demand_hit]
         if len(l3_pos):
             l3_mask = self.shared_l3.access(lines[l3_pos], writes[l3_pos])

@@ -78,6 +78,17 @@ def test_shared_l3_capacity_eviction_and_writeback():
     assert shared.writebacks > 0
 
 
+def test_shared_l3_evicts_least_recently_used():
+    shared = SharedL3Model(SystemConfig.ooo8())
+    shared.capacity_lines = 2
+    a, b, c = 10, 20, 30
+    hits = shared.access(np.array([a, b, a, c]))
+    assert hits.tolist() == [False, False, True, False]
+    # The hit on a made b the least recently used line, so c evicted b.
+    assert shared.contains(a) and shared.contains(c)
+    assert not shared.contains(b)
+
+
 def test_access_element_matches_run_trace_levels():
     cfg, space, hier = build()
     r = space.allocate("a", 2048, 8)
