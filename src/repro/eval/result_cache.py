@@ -46,7 +46,7 @@ import pickle
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 try:  # advisory locks are POSIX-only; the store degrades without them
     import fcntl
@@ -223,6 +223,21 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
+
+    def entry_identity(self, key: str) -> Optional[Tuple[int, int, int]]:
+        """``(st_ino, st_size, st_mtime_ns)`` of ``key``'s entry file from
+        one ``os.stat``, or None when there is none.
+
+        A rewrite (a new file renamed over it), a quarantine move or a
+        deletion changes or removes the identity, so a caller holding a
+        value it loaded can tell whether the entry is still the one it
+        read.  Reads nothing and counts nothing.
+        """
+        try:
+            st = os.stat(self._path(key))
+        except OSError:
+            return None
+        return (st.st_ino, st.st_size, st.st_mtime_ns)
 
     @property
     def quarantine_root(self) -> Path:

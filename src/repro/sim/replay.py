@@ -104,8 +104,11 @@ def unpack_slices(parts: Sequence[Tuple[int, np.ndarray]],
 
     One ``np.empty`` holds the result: each slice's window takes its
     first value and its widened deltas, then is summed in place, so no
-    per-slice temporary is made.  Raises :class:`ValueError` when a part
-    does not match its slice.
+    per-slice temporary is made.  The result is read-only: a loaded
+    trace may feed many runs (:func:`~repro.workloads.build_cache.
+    load_or_record`), so a write into it must raise, not change the next
+    run's input.  Raises :class:`ValueError` when a part does not match
+    its slice.
     """
     if len(parts) != len(slices):
         raise ValueError(f"{len(parts)} stored parts for {len(slices)} "
@@ -120,6 +123,7 @@ def unpack_slices(parts: Sequence[Tuple[int, np.ndarray]],
             window[0] = first
             window[1:] = deltas
             np.cumsum(window, out=window)
+    out.flags.writeable = False
     return out
 
 
@@ -131,7 +135,7 @@ class PhaseTrace:
     are (start, end) windows into them, so reconstruction is a numpy
     slice (a view, no copy) per stream.  ``vaddrs`` is pickled per
     stream as narrow deltas (:func:`pack_slices`) and unpickles to the
-    same contiguous int64 array.
+    same contiguous int64 array.  Every unpickled array is read-only.
     """
 
     program: StreamProgram
@@ -158,6 +162,8 @@ class PhaseTrace:
     def __setstate__(self, state):
         state["vaddrs"] = unpack_slices(state["vaddrs"],
                                         state["vaddr_slices"])
+        state["modifies"].flags.writeable = False
+        state["chain_lengths"].flags.writeable = False
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------

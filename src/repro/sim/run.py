@@ -56,9 +56,13 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     geometry.  A hit skips the build (``run.replay``); a miss builds and
     records one (``run.build``, ``run.record``) and stores it after the
     run has derived its geometry (``run.store``), so every later run of
-    any mode, timing knob or SE knob on that layout replays.  Disable
-    with ``use_replay=False`` or ``$REPRO_NO_REPLAY``; a custom
-    ``space`` also builds live.
+    any mode, timing knob or SE knob on that layout replays.  The trace
+    this process last loaded is kept while its store entry is unchanged,
+    so a loop over modes or knobs by name reads and decodes it once: a
+    later run of the same key counts one store hit, reads no bytes and
+    shares the first run's stream geometry.  Disable with
+    ``use_replay=False`` or ``$REPRO_NO_REPLAY``; a custom ``space``
+    also builds live.
 
     ``fault_plan`` injects seeded, discrete faults at the real protocol
     sites (:mod:`repro.fault`): alias false positives, SE_L3 TLB aborts

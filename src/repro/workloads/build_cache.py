@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from typing import Optional, Union
+from pathlib import Path
+from typing import Optional, Tuple, Union
 
 from repro.config import AddressLayout, SystemConfig
 from repro.eval.result_cache import KIND_REPLAY, ResultCache, fingerprint
@@ -32,6 +33,12 @@ from repro.workloads.base import _registry
 #: Bump when Workload.build semantics change (trace layout, allocation
 #: order, functional execution) in a way that invalidates stored traces.
 BUILD_SCHEMA = 1
+
+#: The one trace this process last loaded from a store: (store root,
+#: trace key, entry identity, trace).  :func:`load_or_record` returns it
+#: again while all three still match, and drops it before any other
+#: lookup, so it never keeps two decoded traces alive.
+_last_loaded: Optional[Tuple[Path, str, Tuple[int, int, int], object]] = None
 
 
 def trace_key(name: str, scale: float, seed: int,
@@ -71,17 +78,42 @@ def load_or_record(name: str, scale: float, seed: int,
     entry holds both.  ``cache=None`` never touches a store.  Stages
     land on ``profiler``: ``run.replay`` (lookup), ``run.build`` and
     ``run.record``.
+
+    The trace this process last *loaded* is remembered with its store
+    root, key and entry identity (:meth:`ResultCache.entry_identity`).
+    The next call for that key and store, while the entry keeps that
+    identity, returns the same object without reading or decoding
+    anything (its ``stats_for`` memo comes along) and counts one
+    ``cache.hits`` without adding to ``bytes_read``.  A rewritten,
+    quarantined or deleted entry changes the identity, so that call does
+    a real lookup; any other call drops the remembered trace before its
+    lookup.  Recorded traces are never remembered.
     """
+    global _last_loaded
     from repro.sim.replay import REPLAY_SCHEMA, FunctionalTrace, \
         record_trace
     from repro.workloads import make_workload
     prof = profiler if profiler is not None else Profiler()
     if cache is not None:
         with prof.stage("run.replay"):
-            cached = cache.lookup(trace_key(name, scale, seed, config))
+            key = trace_key(name, scale, seed, config)
+            # Taken before the read: an entry rewritten in between costs
+            # one more lookup later, never a stale reuse.
+            identity = cache.entry_identity(key)
+            # One read of an immutable tuple: sweep-service threads share
+            # the memo, and however they interleave, a match is a trace
+            # its entry served.
+            memo = _last_loaded
+            if memo is not None and memo[:3] == (cache.root, key, identity):
+                cache.hits += 1
+                return memo[3]
+            _last_loaded = memo = None
+            cached = cache.lookup(key)
         if isinstance(cached, FunctionalTrace) \
                 and cached.schema == REPLAY_SCHEMA \
                 and cached.workload == name:
+            if identity is not None:
+                _last_loaded = (cache.root, key, identity, cached)
             return cached
     with prof.stage("run.build"):
         wl = make_workload(name, scale=scale, seed=seed)

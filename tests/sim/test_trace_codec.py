@@ -82,7 +82,8 @@ def test_round_trip_is_exact_for_any_int64(case):
         assert deltas.dtype.itemsize <= np.dtype(dtype).itemsize
     out = unpack_slices(parts, slices)
     assert out.dtype == np.int64
-    assert out.flags.c_contiguous and out.flags.writeable
+    # read-only: one loaded trace feeds every run that reuses it
+    assert out.flags.c_contiguous and not out.flags.writeable
     assert np.array_equal(out, values)
 
 
@@ -159,6 +160,31 @@ def test_store_round_trip_rebuilds_every_array(workload, tmp_path):
                 or stream.steps == 0
         _assert_stats_equal(loaded.stats_for(i, phase, mesh),
                             trace.stats_for(i, pt.to_phase(), mesh))
+
+
+@pytest.mark.parametrize("workload", ["bfs_push", "bin_tree"])
+def test_loaded_trace_arrays_are_read_only(workload, tmp_path):
+    """One loaded trace feeds every run that reuses it, so a write into
+    a ``to_phase()`` view (or a stored geometry array) raises instead of
+    changing the next run's input."""
+    config = SystemConfig.ooo8()
+    trace, _ = _recorded_with_stats(workload, config)
+    key = trace_key(workload, SCALE, SEED, config)
+    assert ResultCache(tmp_path).store(key, trace, kind=KIND_REPLAY)
+    loaded = ResultCache(tmp_path).lookup(key)
+    views = [loaded.stats[i].lines for i in range(len(loaded.phases))]
+    for pt in loaded.phases:
+        for stream in pt.to_phase().traces.values():
+            views += [a for a in (stream.vaddrs, stream.modifies,
+                                  stream.chain_lengths) if a is not None]
+    written = [v for v in views if len(v)]
+    assert any(s.modifies is not None or s.chain_lengths is not None
+               for pt in loaded.phases for s in pt.to_phase().traces.values())
+    assert written
+    for view in written:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = view[0]
 
 
 def test_stored_trace_takes_under_a_third_of_its_int64_bytes(tmp_path):
