@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ReplacementPolicy": "repro.mem.cache",
     "TlbModel": "repro.mem.tlb",
     "HierarchyModel": "repro.mem.hierarchy",
-    "AccessProfile": "repro.mem.hierarchy",
     "CoherenceModel": "repro.mem.coherence",
     "LockModel": "repro.mem.locks",
     "LockKind": "repro.mem.locks",

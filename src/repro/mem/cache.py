@@ -3,11 +3,15 @@
 Driven by real traces of line addresses. Supports LRU and the paper's
 bimodal RRIP (p = 0.03) replacement.
 
-The model stores way-indexed state per set (tag / dirty / RRPV / stamp) and
-processes whole traces with two interchangeable engines:
+An LRU set is a dict of resident tag -> dirty bit in recency order,
+least recently used first: a hit re-inserts its tag and a miss past the
+set's ways evicts the first key. A BRRIP set stores way-indexed state
+(tag / dirty / RRPV). The model processes whole traces with two
+interchangeable engines:
 
-* a **scalar** engine — an optimized per-access loop over Python lists,
-  best for the scaled-down caches the sampled simulation uses (2-8 sets);
+* a **scalar** engine — an optimized per-access loop over Python dicts
+  and lists, best for the scaled-down caches the sampled simulation
+  uses (2-8 sets);
 * a **wavefront** engine — trace positions are batched by their per-set
   occurrence index, so every batch touches each set at most once and is
   processed with pure numpy array operations. Chosen automatically for
@@ -24,14 +28,15 @@ BRRIP insertion randomness is position-addressed: a bulk ``access`` call
 consumes one uniform draw per trace position from a buffered RNG stream and
 a miss at position ``p`` uses draw ``p``, which makes the outcome
 independent of engine processing order. ``access_one`` consumes one draw
-per miss. LRU consumes no draws.
+per miss, and so does a bulk call with ``draw_per_miss``. LRU consumes no
+draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,26 +90,37 @@ class DrawStream:
     _BLOCK = 1 << 14
 
     def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None   # on first draw
         self._buf = np.empty(0, dtype=np.float64)
         self._pos = 0
 
-    def take(self, n: int) -> np.ndarray:
+    def _fresh(self, n: int) -> np.ndarray:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng.random(n)
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` draws, left unconsumed (see :meth:`skip`)."""
         avail = len(self._buf) - self._pos
-        if n <= avail:
-            out = self._buf[self._pos:self._pos + n]
-            self._pos += n
-            return out
-        head = self._buf[self._pos:]
-        need = n - avail
-        fresh = self._rng.random(max(need, self._BLOCK))
-        self._buf = fresh
-        self._pos = need
-        return np.concatenate((head, fresh[:need]))
+        if n > avail:
+            fresh = self._fresh(max(n - avail, self._BLOCK))
+            self._buf = np.concatenate((self._buf[self._pos:], fresh))
+            self._pos = 0
+        return self._buf[self._pos:self._pos + n]
+
+    def skip(self, n: int) -> None:
+        """Consume the first ``n`` draws the last :meth:`peek` returned."""
+        self._pos += n
+
+    def take(self, n: int) -> np.ndarray:
+        out = self.peek(n)
+        self._pos += n
+        return out
 
     def take_one(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._rng.random(self._BLOCK)
+            self._buf = self._fresh(self._BLOCK)
             self._pos = 0
         value = self._buf[self._pos]
         self._pos += 1
@@ -135,13 +151,13 @@ class CacheModel:
 
     def _init_state(self) -> None:
         sets, assoc = self.sets, self.assoc
-        self._tag_to_way: List[Dict[int, int]] = [dict() for _ in range(sets)]
-        self._way_tags: List[List[int]] = [[-1] * assoc for _ in range(sets)]
-        self._way_dirty: List[List[bool]] = [[False] * assoc
-                                             for _ in range(sets)]
-        self._way_rrpv: List[List[int]] = [[0] * assoc for _ in range(sets)]
-        self._way_stamp: List[List[int]] = [[0] * assoc for _ in range(sets)]
-        self._stamp = 0
+        # Per set, the resident tags: tag -> dirty in recency order (LRU)
+        # or tag -> way into the way-indexed lists below (BRRIP).
+        self._resident: List[dict] = [dict() for _ in range(sets)]
+        if self.policy is ReplacementPolicy.BRRIP:
+            self._way_tags = [[-1] * assoc for _ in range(sets)]
+            self._way_dirty = [[False] * assoc for _ in range(sets)]
+            self._way_rrpv = [[0] * assoc for _ in range(sets)]
 
     # ------------------------------------------------------------------
     # Bulk trace processing
@@ -181,8 +197,8 @@ class CacheModel:
             raise ValueError("negative line addresses are not supported")
 
         brrip = self.policy is ReplacementPolicy.BRRIP
-        draws = (self._draws.take(n)
-                 if brrip and not draw_per_miss else None)
+        per_miss = brrip and draw_per_miss
+        draws = self._draws.take(n) if brrip and not per_miss else None
 
         # Collapse runs of the same line: only a run's first access can
         # miss; the rest are guaranteed hits that fold into one update.
@@ -202,26 +218,24 @@ class CacheModel:
 
         set_ids = addrs % self.sets
         tags = addrs // self.sets
-        # Matches the reference's per-access stamping: the line's final
-        # stamp is that of the run's last access.
-        stamps = self._stamp + 1 + last_idx
         draws_first = draws[fidx] if draws is not None else None
+        victim_fidx = fidx if record_victims else None
 
         counts = np.bincount(set_ids, minlength=self.sets)
         engine = self.force_engine or self._pick_engine(len(set_ids), counts)
-        if draw_per_miss and brrip:
+        if per_miss:
             engine = "scalar"   # per-miss draw order is serial by nature
         if engine == "wavefront":
+            # A run's recency is that of its last access.
             hits = self._access_wavefront(set_ids, tags, w_any, multi,
-                                          stamps, draws_first, counts, call,
-                                          fidx if record_victims else None)
+                                          1 + last_idx, draws_first, counts,
+                                          call, victim_fidx)
+        elif brrip:
+            hits = self._access_brrip(set_ids, tags, w_any, multi,
+                                      draws_first, call, victim_fidx)
         else:
-            hits = self._access_scalar(set_ids, tags, w_any, multi,
-                                       stamps, draws_first, call,
-                                       fidx if record_victims else None,
-                                       draw_per_miss=draw_per_miss and brrip)
+            hits = self._access_lru(set_ids, tags, w_any, call, victim_fidx)
 
-        self._stamp += n
         call.hit_mask[:] = True
         call.hit_mask[fidx] = hits
         call.accesses = n
@@ -238,65 +252,105 @@ class CacheModel:
                 if m >= self._WAVEFRONT_MIN_WIDTH * rounds else "scalar")
 
     # ------------------------------------------------------------------
-    def _access_scalar(self, set_ids: np.ndarray, tags: np.ndarray,
-                       w_any: np.ndarray, multi: np.ndarray,
-                       stamps: np.ndarray, draws: Optional[np.ndarray],
-                       call: CacheAccessResult,
-                       victim_fidx: Optional[np.ndarray] = None,
-                       draw_per_miss: bool = False) -> np.ndarray:
-        """Per-access loop over the collapsed trace (Python-list state)."""
-        lru = self.policy is ReplacementPolicy.LRU
+    def _access_lru(self, set_ids: np.ndarray, tags: np.ndarray,
+                    w_any: np.ndarray, call: CacheAccessResult,
+                    victim_fidx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-access LRU loop over the collapsed trace: one dict pop and
+        one insert per access, plus the first key's pop on an eviction.
+        Returns the collapsed hit mask."""
+        all_resident = self._resident
         assoc = self.assoc
-        rrpv_max = self._RRPV_MAX
-        t2w = self._tag_to_way
-        all_tags = self._way_tags
-        all_dirty = self._way_dirty
-        all_rrpv = self._way_rrpv
-        all_stamp = self._way_stamp
         sets = self.sets
-        take_one = self._draws.take_one
-        brrip_p = self._BRRIP_P
-        near = (np.zeros(len(set_ids), dtype=bool) if draws is None
-                else draws < self._BRRIP_P).tolist()
-        fidx_list = (victim_fidx.tolist() if victim_fidx is not None
-                     else None)
+        record = victim_fidx is not None
+        fidx_list = victim_fidx.tolist() if record else None
         victim_pos: List[int] = []
         victim_lines: List[int] = []
-        hits = np.empty(len(set_ids), dtype=bool)
+        missed: List[int] = []
+        miss = missed.append
         evictions = 0
         dirty_evictions = 0
-        for i, (s, t, w, mu, st) in enumerate(zip(
+        for i, (s, t, w) in enumerate(zip(set_ids.tolist(), tags.tolist(),
+                                          w_any.tolist())):
+            resident = all_resident[s]
+            dirty = resident.pop(t, None)
+            if dirty is not None:
+                resident[t] = dirty or w
+                continue
+            miss(i)
+            if len(resident) >= assoc:
+                victim = next(iter(resident))
+                evictions += 1
+                if resident.pop(victim):
+                    dirty_evictions += 1
+                    if record:
+                        victim_pos.append(fidx_list[i])
+                        victim_lines.append(victim * sets + s)
+            resident[t] = w
+        call.evictions += evictions
+        call.dirty_evictions += dirty_evictions
+        if record:
+            call.victims = (np.array(victim_pos, dtype=np.int64),
+                            np.array(victim_lines, dtype=np.int64))
+        hits = np.ones(len(set_ids), dtype=bool)
+        hits[missed] = False
+        return hits
+
+    def _access_brrip(self, set_ids: np.ndarray, tags: np.ndarray,
+                      w_any: np.ndarray, multi: np.ndarray,
+                      draws: Optional[np.ndarray], call: CacheAccessResult,
+                      victim_fidx: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        """Per-access BRRIP loop over the collapsed trace; returns its hit
+        mask.
+
+        ``draws`` holds the position-addressed draws; without them the
+        call peeks one block of the stream and consumes a draw per miss,
+        as :meth:`access_one` does. Victim search is one ``max`` and one
+        ``index``; aging a set adds to a per-set offset (the stored RRPVs
+        read ``stored + age[set]``), folded back in after the loop.
+        """
+        rrpv_max = self._RRPV_MAX
+        # Per set: (tag -> way, way tags, way dirty bits, way RRPVs).
+        state = list(zip(self._resident, self._way_tags, self._way_dirty,
+                         self._way_rrpv))
+        assoc = self.assoc
+        sets = self.sets
+        m = len(set_ids)
+        per_miss = draws is None
+        near = ((self._draws.peek(m) if per_miss else draws)
+                < self._BRRIP_P).tolist()
+        age = [0] * sets
+        record = victim_fidx is not None
+        fidx_list = victim_fidx.tolist() if record else None
+        victim_pos: List[int] = []
+        victim_lines: List[int] = []
+        missed: List[int] = []
+        miss = missed.append
+        draws_used = 0
+        evictions = 0
+        dirty_evictions = 0
+        for i, (s, t, w, mu) in enumerate(zip(
                 set_ids.tolist(), tags.tolist(), w_any.tolist(),
-                multi.tolist(), stamps.tolist())):
-            ways = t2w[s]
+                multi.tolist())):
+            ways, set_tags, set_dirty, set_rrpv = state[s]
             way = ways.get(t)
             if way is not None:
-                hits[i] = True
-                all_stamp[s][way] = st
-                all_rrpv[s][way] = 0
+                set_rrpv[way] = -age[s]
                 if w:
-                    all_dirty[s][way] = True
+                    set_dirty[way] = True
                 continue
-            hits[i] = False
-            set_tags = all_tags[s]
-            set_dirty = all_dirty[s]
-            set_rrpv = all_rrpv[s]
-            set_stamp = all_stamp[s]
+            miss(i)
             if len(ways) >= assoc:
-                if lru:
-                    way = min(range(assoc), key=set_stamp.__getitem__)
-                else:
-                    top = max(set_rrpv)
-                    if top < rrpv_max:
-                        delta = rrpv_max - top
-                        for k in range(assoc):
-                            set_rrpv[k] += delta
-                    way = set_rrpv.index(rrpv_max)
+                # The victim is the first way at the set's top RRPV; aging
+                # lifts that top to RRPV max.
+                top = max(set_rrpv)
+                way = set_rrpv.index(top)
+                age[s] = rrpv_max - top
                 del ways[set_tags[way]]
                 evictions += 1
                 if set_dirty[way]:
                     dirty_evictions += 1
-                    if fidx_list is not None:
+                    if record:
                         victim_pos.append(fidx_list[i])
                         victim_lines.append(set_tags[way] * sets + s)
             else:
@@ -304,27 +358,30 @@ class CacheModel:
             set_tags[way] = t
             ways[t] = way
             set_dirty[way] = w
-            set_stamp[way] = st
-            if lru:
-                set_rrpv[way] = 0
-            elif draw_per_miss:
-                # access_one draws on every miss insert; run-tail hits
-                # then reset RRPV to 0, but the draw is still consumed.
-                is_near = take_one() < brrip_p
-                if mu:
-                    set_rrpv[way] = 0
-                else:
-                    set_rrpv[way] = rrpv_max - 2 if is_near else rrpv_max - 1
-            elif mu:
-                set_rrpv[way] = 0
+            # access_one draws on every miss insert; a run-tail hit then
+            # resets the RRPV to 0, but the draw is still consumed.
+            if per_miss:
+                is_near = near[draws_used]
+                draws_used += 1
             else:
-                set_rrpv[way] = (rrpv_max - 2 if near[i]
-                                 else rrpv_max - 1)
+                is_near = near[i]
+            if mu:
+                set_rrpv[way] = -age[s]
+            else:
+                set_rrpv[way] = (rrpv_max - 2 if is_near
+                                 else rrpv_max - 1) - age[s]
+        if per_miss:
+            self._draws.skip(draws_used)
+        for s, a in enumerate(age):
+            if a:
+                self._way_rrpv[s][:] = [r + a for r in self._way_rrpv[s]]
         call.evictions += evictions
         call.dirty_evictions += dirty_evictions
-        if victim_fidx is not None:
+        if record:
             call.victims = (np.array(victim_pos, dtype=np.int64),
                             np.array(victim_lines, dtype=np.int64))
+        hits = np.ones(m, dtype=bool)
+        hits[missed] = False
         return hits
 
     # ------------------------------------------------------------------
@@ -341,6 +398,10 @@ class CacheModel:
         ``k``; all same-set predecessors live in earlier batches and every
         batch touches each set at most once, so a batch is processed with
         pure array operations and no intra-batch dependencies.
+
+        LRU recency becomes way-indexed stamps for the call: resident
+        lines take negative stamps in recency order, and an access at
+        collapsed position ``i`` stamps ``stamps[i]`` (positive).
         """
         lru = self.policy is ReplacementPolicy.LRU
         rrpv_max = self._RRPV_MAX
@@ -348,10 +409,14 @@ class CacheModel:
 
         # RRPV is never read under LRU, and stamps are never read under
         # BRRIP — each policy materializes only the state it observes.
-        tag_m = np.asarray(self._way_tags, dtype=np.int64)
-        dirty_m = np.asarray(self._way_dirty, dtype=bool)
-        rrpv_m = None if lru else np.asarray(self._way_rrpv, dtype=np.int64)
-        stamp_m = np.asarray(self._way_stamp, dtype=np.int64) if lru else None
+        if lru:
+            tag_m, dirty_m, stamp_m = self._lru_ways()
+            rrpv_m = None
+        else:
+            tag_m = np.asarray(self._way_tags, dtype=np.int64)
+            dirty_m = np.asarray(self._way_dirty, dtype=bool)
+            rrpv_m = np.asarray(self._way_rrpv, dtype=np.int64)
+            stamp_m = None
 
         # Stable grouping by set; batch k gathers each active set's k-th
         # access directly from the grouped order, so only one sort is
@@ -434,7 +499,10 @@ class CacheModel:
             else:
                 rrpv_m[ms, way_ins] = ins_rrpv[bm]
 
-        self._writeback_state(tag_m, dirty_m, rrpv_m, stamp_m)
+        if lru:
+            self._set_lru_ways(tag_m, dirty_m, stamp_m)
+        else:
+            self._set_brrip_ways(tag_m, dirty_m, rrpv_m)
         call.evictions += evictions
         call.dirty_evictions += dirty_evictions
         if victim_fidx is not None and victim_pos_chunks:
@@ -444,16 +512,33 @@ class CacheModel:
             call.victims = (pos[order_v], lines[order_v])
         return hits
 
-    def _writeback_state(self, tag_m: np.ndarray, dirty_m: np.ndarray,
-                         rrpv_m: Optional[np.ndarray],
-                         stamp_m: Optional[np.ndarray]) -> None:
+    def _lru_ways(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """LRU sets as way-indexed (tags, dirty, stamps) arrays: resident
+        lines fill the low ways with stamps -len..-1, oldest first."""
+        assoc = self.assoc
+        pad = [[-1] * (assoc - k) for k in range(assoc + 1)]
+        tag_m = np.array([list(r) + pad[len(r)] for r in self._resident],
+                         dtype=np.int64)
+        dirty_m = np.array([list(r.values()) + [False] * (assoc - len(r))
+                            for r in self._resident], dtype=bool)
+        stamp_m = np.array([list(range(-len(r), 0)) + pad[len(r)]
+                            for r in self._resident], dtype=np.int64)
+        return tag_m, dirty_m, stamp_m
+
+    def _set_lru_ways(self, tag_m: np.ndarray, dirty_m: np.ndarray,
+                      stamp_m: np.ndarray) -> None:
+        order = np.argsort(stamp_m, axis=1, kind="stable")
+        tags = np.take_along_axis(tag_m, order, axis=1).tolist()
+        dirty = np.take_along_axis(dirty_m, order, axis=1).tolist()
+        self._resident = [{t: d for t, d in zip(row_t, row_d) if t >= 0}
+                          for row_t, row_d in zip(tags, dirty)]
+
+    def _set_brrip_ways(self, tag_m: np.ndarray, dirty_m: np.ndarray,
+                        rrpv_m: np.ndarray) -> None:
         self._way_tags = tag_m.tolist()
         self._way_dirty = dirty_m.tolist()
-        if rrpv_m is not None:
-            self._way_rrpv = rrpv_m.tolist()
-        if stamp_m is not None:
-            self._way_stamp = stamp_m.tolist()
-        self._tag_to_way = [
+        self._way_rrpv = rrpv_m.tolist()
+        self._resident = [
             {tag: way for way, tag in enumerate(row) if tag >= 0}
             for row in self._way_tags
         ]
@@ -479,70 +564,78 @@ class CacheModel:
         """
         set_idx = line_addr % self.sets
         tag = line_addr // self.sets
-        ways = self._tag_to_way[set_idx]
-        self._stamp += 1
-        self.result.accesses += 1
+        ways = self._resident[set_idx]
+        result = self.result
+        result.accesses += 1
+        if self.policy is ReplacementPolicy.LRU:
+            dirty = ways.pop(tag, None)
+            if dirty is not None:
+                ways[tag] = dirty or write
+                result.hits += 1
+                return True, None
+            result.misses += 1
+            evicted_dirty: Optional[int] = None
+            if len(ways) >= self.assoc:
+                victim = next(iter(ways))
+                result.evictions += 1
+                if ways.pop(victim):
+                    result.dirty_evictions += 1
+                    evicted_dirty = victim * self.sets + set_idx
+            ways[tag] = write
+            return False, evicted_dirty
         way = ways.get(tag)
         set_tags = self._way_tags[set_idx]
         set_dirty = self._way_dirty[set_idx]
         set_rrpv = self._way_rrpv[set_idx]
-        set_stamp = self._way_stamp[set_idx]
         if way is not None:
-            self.result.hits += 1
-            set_stamp[way] = self._stamp
+            result.hits += 1
             set_rrpv[way] = 0
             if write:
                 set_dirty[way] = True
             return True, None
-        self.result.misses += 1
-        evicted_dirty: Optional[int] = None
+        result.misses += 1
+        evicted_dirty = None
         if len(ways) >= self.assoc:
-            if self.policy is ReplacementPolicy.LRU:
-                way = min(range(self.assoc), key=set_stamp.__getitem__)
-            else:
-                top = max(set_rrpv)
-                if top < self._RRPV_MAX:
-                    delta = self._RRPV_MAX - top
-                    for k in range(self.assoc):
-                        set_rrpv[k] += delta
-                way = set_rrpv.index(self._RRPV_MAX)
+            top = max(set_rrpv)
+            way = set_rrpv.index(top)
+            if top < self._RRPV_MAX:
+                delta = self._RRPV_MAX - top
+                set_rrpv[:] = [r + delta for r in set_rrpv]
             victim_tag = set_tags[way]
             del ways[victim_tag]
-            self.result.evictions += 1
+            result.evictions += 1
             if set_dirty[way]:
-                self.result.dirty_evictions += 1
+                result.dirty_evictions += 1
                 evicted_dirty = victim_tag * self.sets + set_idx
         else:
             way = set_tags.index(-1)
         set_tags[way] = tag
         ways[tag] = way
         set_dirty[way] = write
-        set_stamp[way] = self._stamp
-        if self.policy is ReplacementPolicy.LRU:
-            set_rrpv[way] = 0
-        else:
-            near = self._draws.take_one() < self._BRRIP_P
-            set_rrpv[way] = self._RRPV_MAX - 2 if near else self._RRPV_MAX - 1
+        near = self._draws.take_one() < self._BRRIP_P
+        set_rrpv[way] = self._RRPV_MAX - 2 if near else self._RRPV_MAX - 1
         return False, evicted_dirty
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:
         set_idx = line_addr % self.sets
-        return (line_addr // self.sets) in self._tag_to_way[set_idx]
+        return (line_addr // self.sets) in self._resident[set_idx]
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present (coherence invalidation). True if it was."""
         set_idx = line_addr % self.sets
-        way = self._tag_to_way[set_idx].pop(line_addr // self.sets, None)
-        if way is None:
+        entry = self._resident[set_idx].pop(line_addr // self.sets, None)
+        if entry is None:
             return False
-        self._way_tags[set_idx][way] = -1
-        self._way_dirty[set_idx][way] = False
+        if self.policy is ReplacementPolicy.BRRIP:
+            way = entry
+            self._way_tags[set_idx][way] = -1
+            self._way_dirty[set_idx][way] = False
         return True
 
     @property
     def occupied_lines(self) -> int:
-        return sum(len(ways) for ways in self._tag_to_way)
+        return sum(len(ways) for ways in self._resident)
 
     def reset(self) -> None:
         self._init_state()

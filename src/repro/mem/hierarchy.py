@@ -6,75 +6,22 @@ bound — an intentionally coarser model, justified because the evaluated
 workloads are sized to be LLC-resident (64 x 1 MB banks) so the L3's job is
 mostly to absorb cold misses and very large scans.
 
-:class:`AccessProfile` is the hierarchy's answer for one trace: how many
-accesses hit at each level, how many went to DRAM, and how many dirty lines
-were written back. The timing model converts it into stall cycles, and the
-NoC model converts the L2-miss flows into traffic.
+:meth:`HierarchyModel.walk_elements` serves one core's accesses in program
+order and reports the level that served each; the phase engine turns the
+per-stream counts into hit rates, which the timing model converts into
+stall cycles and the NoC model into traffic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.config import PrefetcherConfig, SystemConfig
-from repro.mem.address import LINE_SHIFT, AddressSpace
+from repro.mem.address import LINE_SHIFT
 from repro.mem.cache import CacheModel, ReplacementPolicy
-
-
-@dataclass
-class AccessProfile:
-    """Per-level outcome of a memory access trace."""
-
-    accesses: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    l3_hits: int = 0
-    dram_accesses: int = 0
-    l1_writebacks: int = 0
-    l2_writebacks: int = 0
-    l3_writebacks: int = 0
-    prefetch_hidden_fraction: float = 0.0
-
-    @property
-    def l2_misses(self) -> int:
-        """Accesses leaving the private hierarchy (L3 lookups)."""
-        return self.l3_hits + self.dram_accesses
-
-    def merged_with(self, other: "AccessProfile") -> "AccessProfile":
-        merged = AccessProfile(
-            accesses=self.accesses + other.accesses,
-            l1_hits=self.l1_hits + other.l1_hits,
-            l2_hits=self.l2_hits + other.l2_hits,
-            l3_hits=self.l3_hits + other.l3_hits,
-            dram_accesses=self.dram_accesses + other.dram_accesses,
-            l1_writebacks=self.l1_writebacks + other.l1_writebacks,
-            l2_writebacks=self.l2_writebacks + other.l2_writebacks,
-            l3_writebacks=self.l3_writebacks + other.l3_writebacks,
-        )
-        total = merged.accesses
-        if total:
-            merged.prefetch_hidden_fraction = (
-                self.prefetch_hidden_fraction * self.accesses
-                + other.prefetch_hidden_fraction * other.accesses) / total
-        return merged
-
-    def scaled(self, factor: float) -> "AccessProfile":
-        out = AccessProfile(
-            accesses=int(round(self.accesses * factor)),
-            l1_hits=int(round(self.l1_hits * factor)),
-            l2_hits=int(round(self.l2_hits * factor)),
-            l3_hits=int(round(self.l3_hits * factor)),
-            dram_accesses=int(round(self.dram_accesses * factor)),
-            l1_writebacks=int(round(self.l1_writebacks * factor)),
-            l2_writebacks=int(round(self.l2_writebacks * factor)),
-            l3_writebacks=int(round(self.l3_writebacks * factor)),
-            prefetch_hidden_fraction=self.prefetch_hidden_fraction,
-        )
-        return out
 
 
 class SharedL3Model:
@@ -96,26 +43,40 @@ class SharedL3Model:
 
     def access(self, lines: np.ndarray,
                is_write: Optional[np.ndarray] = None) -> np.ndarray:
-        """Process line addresses; returns the per-access hit mask."""
+        """Process line addresses; returns the per-access hit mask.
+
+        One ``get`` per access decides hit or miss; the oracle is
+        ``shared_l3_access`` in ``tests/oracles/hierarchy.py``.
+        """
         lines = np.asarray(lines, dtype=np.int64)
         if is_write is None:
             is_write = np.zeros(len(lines), dtype=bool)
-        hit_mask = np.zeros(len(lines), dtype=bool)
         resident = self._resident
-        for pos, (line, write) in enumerate(zip(lines.tolist(),
-                                                is_write.tolist())):
-            if line in resident:
-                self.hits += 1
-                hit_mask[pos] = True
-                resident[line] = resident[line] or write
-                resident.move_to_end(line)
+        get = resident.get
+        to_end = resident.move_to_end
+        capacity = self.capacity_lines
+        mask = []
+        hit = mask.append
+        writebacks = 0
+        for line, write in zip(lines.tolist(),
+                               np.asarray(is_write, dtype=bool).tolist()):
+            dirty = get(line)
+            if dirty is None:
+                hit(False)
+                resident[line] = write
+                if len(resident) > capacity \
+                        and resident.popitem(last=False)[1]:
+                    writebacks += 1
             else:
-                self.misses += 1
-                resident[line] = bool(write)
-                if len(resident) > self.capacity_lines:
-                    _, dirty = resident.popitem(last=False)
-                    if dirty:
-                        self.writebacks += 1
+                hit(True)
+                to_end(line)
+                if write and not dirty:
+                    resident[line] = True
+        hit_mask = np.array(mask, dtype=bool)
+        hits = int(np.count_nonzero(hit_mask))
+        self.hits += hits
+        self.misses += len(mask) - hits
+        self.writebacks += writebacks
         return hit_mask
 
     def contains(self, line: int) -> bool:
@@ -167,56 +128,6 @@ class HierarchyModel:
                              seed=211 + core_id)
         self.shared_l3 = shared_l3
         self.prefetch = PrefetchModel(config.prefetcher)
-
-    def run_trace(self, space: AddressSpace, vaddrs: np.ndarray,
-                  is_write: Optional[np.ndarray] = None,
-                  affine_fraction: float = 0.0,
-                  bypass_private: bool = False,
-                  skip_l1: bool = False) -> AccessProfile:
-        """Push one trace through L1 -> L2 -> L3; returns the profile.
-
-        ``bypass_private`` models accesses that skip the private caches
-        entirely (offloaded stream requests are issued at the L3 banks);
-        ``skip_l1`` models SE_core stream fetches that fill the FIFO and L2
-        but never pollute the L1.
-        """
-        vaddrs = np.asarray(vaddrs, dtype=np.int64)
-        profile = AccessProfile(accesses=len(vaddrs))
-        if len(vaddrs) == 0:
-            return profile
-        if is_write is None:
-            is_write = np.zeros(len(vaddrs), dtype=bool)
-        paddrs = space.translate(vaddrs)
-        lines = paddrs >> LINE_SHIFT
-
-        if bypass_private:
-            l3_mask = self.shared_l3.access(lines, is_write)
-            profile.l3_hits = int(l3_mask.sum())
-            profile.dram_accesses = len(lines) - profile.l3_hits
-            return profile
-
-        if skip_l1:
-            l1_miss_mask = np.ones(len(lines), dtype=bool)
-        else:
-            l1_res = self.l1.access(lines, is_write)
-            profile.l1_hits = l1_res.hits
-            profile.l1_writebacks = l1_res.dirty_evictions
-            l1_miss_mask = ~l1_res.hit_mask
-        l2_lines = lines[l1_miss_mask]
-        l2_writes = is_write[l1_miss_mask]
-        if len(l2_lines):
-            l2_res = self.l2.access(l2_lines, l2_writes)
-            profile.l2_hits = l2_res.hits
-            profile.l2_writebacks = l2_res.dirty_evictions
-            l3_lines = l2_lines[~l2_res.hit_mask]
-            l3_writes = l2_writes[~l2_res.hit_mask]
-            if len(l3_lines):
-                l3_mask = self.shared_l3.access(l3_lines, l3_writes)
-                profile.l3_hits = int(l3_mask.sum())
-                profile.dram_accesses = len(l3_lines) - profile.l3_hits
-        profile.prefetch_hidden_fraction = self.prefetch.hidden_fraction(
-            affine_fraction)
-        return profile
 
     # Served-level codes returned by walk_elements.
     LEVELS = ("l1", "l2", "l3", "dram")

@@ -36,5 +36,14 @@ class Machine:
         return Machine(config=config, mesh=mesh, shared_l3=shared_l3,
                        hierarchies=hierarchies)
 
+    @property
+    def cache_shape(self) -> tuple:
+        """What the sampled cache walk reads of the machine: the number
+        of sampled cores, their L1 and L2 (sets, ways), and the shared
+        L3's capacity in lines."""
+        private = tuple((h.l1.sets, h.l1.assoc, h.l2.sets, h.l2.assoc)
+                        for h in self.hierarchies[:1])
+        return len(self.hierarchies), private, self.shared_l3.capacity_lines
+
     def fresh_flow(self) -> FlowModel:
         return FlowModel(self.mesh)

@@ -156,6 +156,13 @@ class PhaseEngine:
         self._lock_fault_stats = FaultStats()
         self._recovery_fault_stats = FaultStats()
         self._fault_draws: Dict[int, Tuple] = {}
+        # Mode-independent products a replayed trace shares across runs
+        # (run_workload fills them from its per-trace memos): each
+        # stream's raw level counts from the sampled walk, which
+        # sample_caches computes when unset, and each offloaded
+        # consumer's forward groups.
+        self.level_counts: Optional[Dict[str, Tuple[float, ...]]] = None
+        self.forward_groups: Dict[int, List[Tuple[int, float]]] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -197,9 +204,36 @@ class PhaseEngine:
     # ------------------------------------------------------------------
     # 1. Cache sampling
     # ------------------------------------------------------------------
+    def cache_paths(self) -> Tuple[Optional[str], ...]:
+        """Each stream's path into the sampled caches, in graph order: the
+        only part of the mode :meth:`_walk_caches` reads."""
+        return tuple(self._cache_path(stream)
+                     for stream in self.program.graph)
+
+    def _cache_path(self, stream: Stream) -> Optional[str]:
+        """"l3" for a stream that goes straight to the shared L3, "l2" for
+        one that skips the L1 (SE_core fetches), "l1" for one that walks
+        the whole hierarchy, None for a memory-free stream."""
+        if self.program.recognized[stream.sid].memory_free:
+            return None
+        placement = self.plans[stream.sid].placement
+        if placement.at_llc or placement is Placement.ITER_OFFLOAD:
+            return "l3"
+        return "l2" if placement is Placement.CORE else "l1"
+
     def sample_caches(self) -> None:
+        """Level rates of every stream from the sampled walk's raw counts
+        (:meth:`_walk_caches`, unless ``level_counts`` already holds them)."""
+        if self.level_counts is None:
+            self.level_counts = self._walk_caches()
+        self.rates = {name: LevelRates(*counts)
+                      for name, counts in self.level_counts.items()}
+        self._finalize_rates()
+
+    def _walk_caches(self) -> Dict[str, Tuple[float, ...]]:
         """Drive sampled cores' private hierarchies with their slices of
-        every stream trace, interleaved in iteration order.
+        every stream trace, interleaved in iteration order; returns each
+        stream's (l1, l2, l3, dram) access counts from the measuring pass.
 
         Interleaving matters: cross-stream reuse (a stencil's store landing
         in the private cache and next sweep's neighbor loads hitting it)
@@ -212,6 +246,7 @@ class PhaseEngine:
         # Each core's accesses depend on the traces and placements only,
         # not on cache state, so both passes replay one preparation.
         prepared = [self._core_accesses(core) for core in sample_ids]
+        counts: Dict[str, List[float]] = {}
         # Warmup then measure. The warmup leaves the shared L3 resident —
         # the paper's workloads are sized to fit the 64 MB LLC, and the
         # near-cache setting measures the LLC-warm steady state. Private
@@ -226,23 +261,21 @@ class PhaseEngine:
                 for name, lines, writes in bypass:
                     hits = int(self.shared_l3.access(lines, writes).sum())
                     if measuring:
-                        rates = self.rates.setdefault(name, LevelRates())
-                        rates.l3 += hits
-                        rates.dram += len(lines) - hits
+                        c = counts.setdefault(name, [0.0] * 4)
+                        c[2] += hits
+                        c[3] += len(lines) - hits
                 if walk is None:
                     continue
                 names, line_arr, write_arr, skip_arr, sidx_arr = walk
                 levels = hier.walk_elements(line_arr, write_arr, skip_arr)
                 if measuring:
-                    counts = np.bincount(sidx_arr * 4 + levels,
-                                         minlength=len(names) * 4)
+                    served = np.bincount(sidx_arr * 4 + levels,
+                                         minlength=len(names) * 4).tolist()
                     for i, name in enumerate(names):
-                        rates = self.rates.setdefault(name, LevelRates())
-                        rates.l1 += int(counts[i * 4])
-                        rates.l2 += int(counts[i * 4 + 1])
-                        rates.l3 += int(counts[i * 4 + 2])
-                        rates.dram += int(counts[i * 4 + 3])
-        self._finalize_rates()
+                        c = counts.setdefault(name, [0.0] * 4)
+                        for level in range(4):
+                            c[level] += served[i * 4 + level]
+        return {name: tuple(c) for name, c in counts.items()}
 
     def _core_accesses(self, core: int):
         """One sampled core's cache accesses, in the order both passes of
@@ -260,13 +293,12 @@ class PhaseEngine:
         merged = []   # (positions, lines, writes, skips, stream idx)
         names: List[str] = []
         for stream in self.program.graph:
-            rec = self.program.recognized[stream.sid]
-            if rec.memory_free:
+            path = self._cache_path(stream)
+            if path is None:
                 continue
             trace = self.phase.traces.get(stream.name)
             if trace is None or trace.steps == 0:
                 continue
-            plan = self.plans[stream.sid]
             sl = trace.slice_for(core, self.n_cores)
             vaddrs = trace.vaddrs[sl]
             if len(vaddrs) == 0:
@@ -279,15 +311,14 @@ class PhaseEngine:
                 lines = st.lines[sl]
             else:
                 lines = self.space.translate(vaddrs) >> LINE_SHIFT
-            if plan.placement.at_llc \
-                    or plan.placement is Placement.ITER_OFFLOAD:
+            if path == "l3":
                 # SE_L3 fetches each line once, straight from L3.
                 keep = np.concatenate(([True], lines[1:] != lines[:-1]))
                 dedup = lines[keep]
                 bypass.append((stream.name, dedup,
                                np.full(len(dedup), trace.is_write)))
                 continue
-            skip_l1 = plan.placement is Placement.CORE
+            skip_l1 = path == "l2"
             stride = total_iters / len(vaddrs)
             k = np.arange(len(lines), dtype=np.float64)
             if skip_l1:
@@ -488,44 +519,52 @@ class PhaseEngine:
                 continue
             if self.program.recognized[consumer.sid].memory_free:
                 continue  # reductions handled in _traffic_reduction
-            cst = self._stream_stats(consumer)
-            if cst is None or cst.elements == 0:
-                continue
-            producers = []
-            for dep in consumer.value_deps:
-                if dep == consumer.sid or dep == consumer.base_stream:
-                    continue  # base-chain values travel with the requests
-                producer = self.program.graph.stream(dep)
-                if self.program.recognized[dep].memory_free:
-                    continue
-                pst = self._stream_stats(producer)
-                if pst is not None and pst.elements:
-                    producers.append((producer, pst))
-            if not producers:
-                continue
-            # Operands co-located with the consumer (aligned regions at the
-            # same element offset) are free. Distant producers forward at
-            # line granularity; producers shipping the same lines in the
-            # same direction (a stencil row's three column taps) share one
-            # forward, while opposite-direction users of a line (the same
-            # row serving as N and as S) are separate transfers.
-            groups: Dict[tuple, list] = {}
-            for producer, pst in producers:
-                hops = forward_hops(pst, cst, self.hmat)
-                if hops <= 0.5:
-                    continue
-                n = min(pst.elements, cst.elements)
-                offset = int(np.round(float(np.mean(
-                    (cst.banks[:n] - pst.banks[:n]) % self.n_cores))))
-                key = (pst.alloc_region or producer.region, offset)
-                groups.setdefault(key, []).append((pst, hops))
-            for members in groups.values():
-                lines = int(np.unique(np.concatenate(
-                    [m[0].lines for m in members])).size)
-                hops = float(np.mean([m[1] for m in members]))
+            groups = self.forward_groups.get(consumer.sid)
+            if groups is None:
+                groups = self._forward_groups(consumer)
+                self.forward_groups[consumer.sid] = groups
+            for lines, hops in groups:
                 self._inject_mean(MessageType.STREAM_FORWARD,
                                   lines * self.up, hops,
                                   payload_override=64)
+
+    def _forward_groups(self, consumer: Stream) -> List[Tuple[int, float]]:
+        """One (unique source lines, mean hops) pair per forward that
+        ``consumer``'s distant producers send it; pure in the trace, the
+        phase and the consumer, so every mode shares it."""
+        cst = self._stream_stats(consumer)
+        if cst is None or cst.elements == 0:
+            return []
+        producers = []
+        for dep in consumer.value_deps:
+            if dep == consumer.sid or dep == consumer.base_stream:
+                continue  # base-chain values travel with the requests
+            producer = self.program.graph.stream(dep)
+            if self.program.recognized[dep].memory_free:
+                continue
+            pst = self._stream_stats(producer)
+            if pst is not None and pst.elements:
+                producers.append((producer, pst))
+        # Operands co-located with the consumer (aligned regions at the
+        # same element offset) are free. Distant producers forward at
+        # line granularity; producers shipping the same lines in the
+        # same direction (a stencil row's three column taps) share one
+        # forward, while opposite-direction users of a line (the same
+        # row serving as N and as S) are separate transfers.
+        groups: Dict[tuple, list] = {}
+        for producer, pst in producers:
+            hops = forward_hops(pst, cst, self.hmat)
+            if hops <= 0.5:
+                continue
+            n = min(pst.elements, cst.elements)
+            offset = int(np.round(float(np.mean(
+                (cst.banks[:n] - pst.banks[:n]) % self.n_cores))))
+            key = (pst.alloc_region or producer.region, offset)
+            groups.setdefault(key, []).append((pst, hops))
+        return [(int(np.unique(np.concatenate(
+                    [m[0].lines for m in members])).size),
+                 float(np.mean([m[1] for m in members])))
+                for members in groups.values()]
 
     def _inject_mean(self, mtype: MessageType, count: float, hops: float,
                      payload_override: int = -1) -> None:

@@ -403,11 +403,29 @@ class FunctionalTrace:
     # this process (stats are mode-independent).  Never persisted.
     _stats: Dict[int, Dict[str, StreamStats]] = field(
         default_factory=dict, repr=False, compare=False)
+    # Two more per-process memos, never persisted either: each run's raw
+    # per-stream level counts of the sampled cache walk, one dict per
+    # phase, keyed by what the walk reads besides this trace
+    # (:func:`repro.sim.run.run_workload`); and each phase's forward
+    # groups per offloaded consumer stream id.  Not init fields, so a
+    # ``dataclasses.replace`` copy, whose phases may differ, starts empty.
+    _levels: Dict[tuple, List[Dict[str, Tuple[float, ...]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _forwards: Dict[int, Dict[int, List[Tuple[int, float]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
+        # The memos are per process: a stored entry holds the trace and
+        # its packed geometry alone.
         state = dict(self.__dict__)
         state["_stats"] = {}
+        del state["_levels"], state["_forwards"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._levels = {}
+        self._forwards = {}
 
     @property
     def layout(self) -> AddressLayout:
@@ -450,6 +468,19 @@ class FunctionalTrace:
                                             hmat, self.layout.page_bytes)
             self._stats[index] = stats
         return self._stats[index]
+
+    def level_counts(self, key: tuple
+                     ) -> List[Dict[str, Tuple[float, ...]]]:
+        """The per-phase level counts of the cache walk a run with walk
+        key ``key`` made; an empty list, which that run fills in, when no
+        run has made it yet."""
+        return self._levels.setdefault(key, [])
+
+    def forward_groups(self, index: int
+                       ) -> Dict[int, List[Tuple[int, float]]]:
+        """Phase ``index``'s forward groups per consumer stream id, filled
+        in by the runs that compute them (they are mode-independent)."""
+        return self._forwards.setdefault(index, {})
 
     def pack_stats(self) -> bool:
         """Pack the memoized stats of every phase into ``stats``.

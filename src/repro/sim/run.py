@@ -154,9 +154,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     fault_stats: Optional[FaultStats] = None
     phase_results = []
 
+    engines = []
     for index, (phase, program) in enumerate(pairs):
-        if heartbeat is not None:
-            heartbeat()
         stats = None
         if program is None:
             with profiler.stage("run.compile"):
@@ -173,13 +172,33 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                                  sample_cores=sample_cores,
                                  profiler=profiler, fault_plan=fault_plan,
                                  tracer=tracer, stats=stats)
+        if trace is not None:
+            engine.forward_groups = trace.forward_groups(index)
+        engines.append(engine)
+
+    # The sampled cache walk reads nothing of the run but the trace, the
+    # machine's cache shape and each phase's stream paths. A phase leaves
+    # the caches warm for the next, so the key spans every phase and a
+    # run either reuses all of an earlier run's counts or walks afresh.
+    level_counts = None
+    if trace is not None:
+        level_counts = trace.level_counts(
+            (machine.cache_shape,
+             tuple(engine.cache_paths() for engine in engines)))
+        for engine, counts in zip(engines, level_counts):
+            engine.level_counts = counts
+
+    for engine in engines:
+        if heartbeat is not None:
+            heartbeat()
+        phase, program = engine.phase, engine.program
         outcome = engine.execute()
         if outcome.fault_stats is not None:
             fault_stats = (outcome.fault_stats if fault_stats is None
                            else fault_stats.merged_with(outcome.fault_stats))
         total_cycles += outcome.cycles
         total_traffic.merge_from(
-            flow.ledger.scaled(float(phase.invocations)))
+            engine.flow.ledger.scaled(float(phase.invocations)))
         _merge_events(total_events, outcome.events)
         baseline_uops = baseline_uops.merged_with(
             program.baseline_uops().scaled(
@@ -194,6 +213,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
             name=phase.kernel.name, cycles=outcome.cycles,
             bottleneck=outcome.bottleneck, core_uops=outcome.core_uops,
             offloaded_compute_instances=outcome.offloaded_uops))
+    if level_counts == []:   # this run walked: store its counts
+        level_counts.extend(engine.level_counts for engine in engines)
 
     if cache is not None:
         save_trace(trace, cache, profiler)

@@ -4,7 +4,8 @@ Property tests: on any trace, both CacheModel engines (the per-access
 scalar fallback and the batched wavefront) must report exactly the same
 hits, misses, evictions, dirty evictions, and per-access hit mask as
 ``ScalarCacheModel`` (``tests/oracles/cache_ref.py``), for both LRU and
-BRRIP.
+BRRIP. The geometries include the sampled simulation's own: an LRU L1
+of 2 sets x 8 ways and a BRRIP L2 of 4 sets x 16 ways.
 """
 
 import numpy as np
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.mem.cache import CacheModel, ReplacementPolicy
+from repro.mem.cache import CacheModel, DrawStream, ReplacementPolicy
 from tests.oracles.cache_ref import ScalarCacheModel
 
-GEOMETRIES = [(4, 2), (2, 8), (16, 4)]
+GEOMETRIES = [(4, 2), (2, 8), (16, 4), (4, 16)]
 POLICIES = [ReplacementPolicy.LRU, ReplacementPolicy.BRRIP]
 ENGINES = ["scalar", "wavefront"]
 
@@ -107,3 +108,37 @@ def test_engines_agree_on_long_trace(policy):
         model.force_engine = engine
         calls[engine] = model.access(addrs, writes)
     _assert_same(calls["scalar"], calls["wavefront"], policy)
+
+
+def test_bulk_draw_per_miss_matches_access_one_across_a_refill():
+    """A bulk BRRIP call with ``draw_per_miss`` and more misses than one
+    draw block equals the same accesses made one at a time: hit mask,
+    counters, dirty victims and the next draw of the stream."""
+    rng = np.random.default_rng(29)
+    cfg = _cfg(4, 16)
+    fast = CacheModel(cfg, ReplacementPolicy.BRRIP, seed=7)
+    ref = ScalarCacheModel(cfg, ReplacementPolicy.BRRIP, seed=7)
+    n = DrawStream._BLOCK + 6000
+    lead = rng.integers(0, 1 << 12, size=300)   # leaves a part-used block
+    lines = np.repeat(rng.integers(0, 1 << 12, size=n),
+                      rng.integers(1, 3, size=n))
+    writes = rng.random(len(lines)) < 0.3
+    for step, (trace, w) in enumerate(((lead, None), (lines, writes))):
+        call = fast.access(trace, w, record_victims=True,
+                           draw_per_miss=True)
+        flags = np.zeros(len(trace), dtype=bool) if w is None else w
+        expect_hits, expect_victims = [], []
+        for pos, (line, write) in enumerate(zip(trace.tolist(),
+                                                flags.tolist())):
+            hit, evicted = ref.access_one(line, write)
+            expect_hits.append(hit)
+            if evicted is not None:
+                expect_victims.append((pos, evicted))
+        assert call.hit_mask.tolist() == expect_hits, step
+        assert list(zip(*(v.tolist() for v in call.victims))) == \
+            expect_victims, step
+    assert call.misses > DrawStream._BLOCK
+    for f in ("accesses", "hits", "misses", "evictions",
+              "dirty_evictions"):
+        assert getattr(fast.result, f) == getattr(ref.result, f), f
+    assert fast._draws.take_one() == ref._draws.take_one()

@@ -5,8 +5,11 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.mem import AddressSpace, HierarchyModel
+from repro.mem.address import LINE_SHIFT
 from repro.mem.hierarchy import PrefetchModel, SharedL3Model
 from tests.oracles.hierarchy import access_element
+
+LEVEL = {name: code for code, name in enumerate(HierarchyModel.LEVELS)}
 
 
 def build(scale=1.0 / 64.0):
@@ -16,41 +19,39 @@ def build(scale=1.0 / 64.0):
         HierarchyModel(cfg, shared, core_id=0)
 
 
-def test_run_trace_levels_sum_to_accesses():
-    cfg, space, hier = build()
-    r = space.allocate("a", 100000, 8)
-    vaddrs = r.element_vaddr(np.arange(50000))
-    profile = hier.run_trace(space, vaddrs)
-    assert (profile.l1_hits + profile.l2_hits + profile.l3_hits
-            + profile.dram_accesses) == profile.accesses == 50000
+def _lines(space, name, n):
+    r = space.allocate(name, n, 8)
+    return space.translate(r.element_vaddr(np.arange(n))) >> LINE_SHIFT
 
 
 def test_sequential_trace_mostly_hits_l1():
     cfg, space, hier = build()
-    r = space.allocate("a", 10000, 8)
-    vaddrs = r.element_vaddr(np.arange(10000))
-    profile = hier.run_trace(space, vaddrs)
+    lines = _lines(space, "a", 10000)
+    levels = hier.walk_elements(lines, np.zeros(len(lines), dtype=bool))
     # 8 elements per 64 B line: 7/8 of accesses hit in L1.
-    assert profile.l1_hits / profile.accesses > 0.8
+    assert np.mean(levels == LEVEL["l1"]) > 0.8
 
 
 def test_bypass_goes_straight_to_l3():
+    """Offloaded streams' accesses go to the shared L3 alone."""
     cfg, space, hier = build()
-    r = space.allocate("a", 1000, 8)
-    vaddrs = r.element_vaddr(np.arange(1000))
-    profile = hier.run_trace(space, vaddrs, bypass_private=True)
-    assert profile.l1_hits == 0 and profile.l2_hits == 0
-    assert profile.l3_hits + profile.dram_accesses == 1000
+    lines = _lines(space, "a", 1000)
+    hits = hier.shared_l3.access(lines)
+    assert hier.l1.result.accesses == 0 and hier.l2.result.accesses == 0
+    assert hier.shared_l3.hits + hier.shared_l3.misses == 1000
+    assert hier.shared_l3.hits == int(hits.sum())
 
 
 def test_skip_l1_fills_l2_only():
     cfg, space, hier = build()
-    r = space.allocate("a", 64, 8)
-    vaddrs = r.element_vaddr(np.arange(64))
-    hier.run_trace(space, vaddrs, skip_l1=True)
-    profile = hier.run_trace(space, vaddrs, skip_l1=True)
-    assert profile.l1_hits == 0
-    assert profile.l2_hits > 0
+    lines = _lines(space, "a", 64)
+    writes = np.zeros(len(lines), dtype=bool)
+    skip = np.ones(len(lines), dtype=bool)
+    hier.walk_elements(lines, writes, skip)
+    levels = hier.walk_elements(lines, writes, skip)
+    assert hier.l1.result.accesses == 0
+    assert not (levels == LEVEL["l1"]).any()
+    assert (levels == LEVEL["l2"]).any()
 
 
 def test_shared_l3_warms_across_cores():
@@ -59,13 +60,14 @@ def test_shared_l3_warms_across_cores():
     space = AddressSpace(SystemConfig.ooo8())
     a = HierarchyModel(cfg, shared, core_id=0)
     b = HierarchyModel(cfg, shared, core_id=1)
-    r = space.allocate("x", 4096, 8)
-    vaddrs = r.element_vaddr(np.arange(4096))
-    first = a.run_trace(space, vaddrs, bypass_private=True)
-    second = b.run_trace(space, vaddrs, bypass_private=True)
-    assert first.dram_accesses > 0          # cold
-    assert second.dram_accesses == 0        # warmed by core 0
-    assert second.l3_hits == 4096
+    lines = _lines(space, "x", 4096)
+    writes = np.zeros(len(lines), dtype=bool)
+    first = a.walk_elements(lines, writes)
+    second = b.walk_elements(lines, writes)
+    cold = int((first == LEVEL["dram"]).sum())
+    assert cold > 0                                    # cold
+    assert not (second == LEVEL["dram"]).any()         # warmed by core 0
+    assert int((second == LEVEL["l3"]).sum()) == cold
 
 
 def test_shared_l3_capacity_eviction_and_writeback():

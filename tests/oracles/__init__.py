@@ -7,7 +7,8 @@ runtime code against them.
 * :mod:`~tests.oracles.cache_ref` — per-access set-associative cache
   (``repro.mem.cache.CacheModel``);
 * :mod:`~tests.oracles.hierarchy` — per-element private-hierarchy walk
-  (``HierarchyModel.walk_elements``);
+  (``HierarchyModel.walk_elements``) and per-access shared L3
+  (``SharedL3Model.access``);
 * :mod:`~tests.oracles.locks` — per-window lock analysis
   (``LockModel.analyze``);
 * :mod:`~tests.oracles.address` — dict-walk address translation

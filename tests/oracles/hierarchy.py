@@ -1,11 +1,42 @@
-"""Per-element oracle for :meth:`repro.mem.hierarchy.HierarchyModel.
-walk_elements`."""
+"""Oracles for :mod:`repro.mem.hierarchy`: the per-element walk behind
+:meth:`~repro.mem.hierarchy.HierarchyModel.walk_elements` and the
+per-access loop behind :meth:`~repro.mem.hierarchy.SharedL3Model.access`.
+"""
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.mem.hierarchy import HierarchyModel
+from repro.mem.hierarchy import HierarchyModel, SharedL3Model
+
+
+def shared_l3_access(model: SharedL3Model, lines: np.ndarray,
+                     is_write: Optional[np.ndarray] = None) -> np.ndarray:
+    """``model.access`` as one membership test, read, write and
+    ``move_to_end`` per hit on the model's own state; returns the
+    per-access hit mask."""
+    lines = np.asarray(lines, dtype=np.int64)
+    if is_write is None:
+        is_write = np.zeros(len(lines), dtype=bool)
+    hit_mask = np.zeros(len(lines), dtype=bool)
+    resident = model._resident
+    for pos, (line, write) in enumerate(zip(lines.tolist(),
+                                            is_write.tolist())):
+        if line in resident:
+            model.hits += 1
+            hit_mask[pos] = True
+            resident[line] = resident[line] or write
+            resident.move_to_end(line)
+        else:
+            model.misses += 1
+            resident[line] = bool(write)
+            if len(resident) > model.capacity_lines:
+                _, dirty = resident.popitem(last=False)
+                if dirty:
+                    model.writebacks += 1
+    return hit_mask
 
 
 def access_element(model: HierarchyModel, line: int, write: bool,
