@@ -29,6 +29,11 @@ class MessageClass(Enum):
     CONTROL = "control"
     OFFLOAD = "offload"
 
+    # Members compare by identity, so identity hashing is consistent with
+    # equality and runs in C; Enum's own hashes the name in Python, and
+    # every TrafficLedger operation hashes each member.
+    __hash__ = object.__hash__
+
 
 class MessageType(Enum):
     """Every distinct message the simulated machine sends."""
@@ -64,6 +69,8 @@ class MessageType(Enum):
     STREAM_DATA = "stream_data"        # stream element data to the core
     STREAM_IND_REQ = "stream_ind_req"  # remote indirect access request
     STREAM_IND_RESP = "stream_ind_resp"
+
+    __hash__ = object.__hash__   # as MessageClass's
 
 
 # Payload bytes per message type. ``None`` means variable (caller supplies).

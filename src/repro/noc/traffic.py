@@ -11,16 +11,23 @@ from typing import Dict, Iterable, Tuple
 
 from repro.noc.message import MessageClass, MessageType, message_class
 
+#: Every member, in definition order, iterated without ``EnumType``'s
+#: per-step Python iterator.
+_CLASSES = tuple(MessageClass)
+_TYPES = tuple(MessageType)
+
 
 class TrafficLedger:
     """Accumulates NoC traffic by message class and type."""
 
     def __init__(self) -> None:
-        self.byte_hops: Dict[MessageClass, float] = {c: 0.0 for c in MessageClass}
-        self.messages: Dict[MessageType, float] = {t: 0.0 for t in MessageType}
-        self.bytes_sent: Dict[MessageType, float] = {t: 0.0 for t in MessageType}
-        self.byte_hops_by_type: Dict[MessageType, float] = {
-            t: 0.0 for t in MessageType}
+        self.byte_hops: Dict[MessageClass, float] = dict.fromkeys(_CLASSES,
+                                                                  0.0)
+        self.messages: Dict[MessageType, float] = dict.fromkeys(_TYPES, 0.0)
+        self.bytes_sent: Dict[MessageType, float] = dict.fromkeys(_TYPES,
+                                                                  0.0)
+        self.byte_hops_by_type: Dict[MessageType, float] = dict.fromkeys(
+            _TYPES, 0.0)
 
     def record(self, mtype: MessageType, total_bytes: float, hops: float,
                count: float = 1.0) -> None:
@@ -48,12 +55,12 @@ class TrafficLedger:
 
     def breakdown(self) -> Dict[str, float]:
         """Byte-hops keyed by class name — the Fig 12 stacked-bar series."""
-        return {cls.value: self.byte_hops[cls] for cls in MessageClass}
+        return {cls.value: self.byte_hops[cls] for cls in _CLASSES}
 
     def merge_from(self, other: "TrafficLedger") -> None:
-        for cls in MessageClass:
+        for cls in _CLASSES:
             self.byte_hops[cls] += other.byte_hops[cls]
-        for mtype in MessageType:
+        for mtype in _TYPES:
             self.messages[mtype] += other.messages[mtype]
             self.bytes_sent[mtype] += other.bytes_sent[mtype]
             self.byte_hops_by_type[mtype] += other.byte_hops_by_type[mtype]
@@ -61,9 +68,9 @@ class TrafficLedger:
     def scaled(self, factor: float) -> "TrafficLedger":
         """Return a copy with every quantity multiplied by ``factor``."""
         out = TrafficLedger()
-        for cls in MessageClass:
+        for cls in _CLASSES:
             out.byte_hops[cls] = self.byte_hops[cls] * factor
-        for mtype in MessageType:
+        for mtype in _TYPES:
             out.messages[mtype] = self.messages[mtype] * factor
             out.bytes_sent[mtype] = self.bytes_sent[mtype] * factor
             out.byte_hops_by_type[mtype] = self.byte_hops_by_type[mtype] * factor

@@ -27,7 +27,7 @@ from repro.isa.pattern import AddressPatternKind
 from repro.mem.address import AddressSpace
 from repro.noc.topology import Mesh
 from repro.sim.replay import FunctionalTrace, record_trace
-from repro.sim.tracestats import forward_hops, hops_matrix
+from repro.sim.tracestats import hops_matrix
 from repro.workloads.base import make_workload
 
 PERFECT_CACHE_BYTES = 256 * 1024
@@ -146,7 +146,8 @@ def ideal_traffic(workload, config: Optional[SystemConfig] = None,
     cache_bytes = max(int(PERFECT_CACHE_BYTES * recorded.scale), 4096)
 
     for index, (phase, program) in enumerate(recorded.phase_programs()):
-        stats = recorded.stats_for(index, phase, mesh, hmat)
+        geometry = recorded.geometry_for(index, phase, mesh, hmat)
+        stats = geometry.stats
         inv = phase.invocations
 
         hop_bytes_of = {}
@@ -162,16 +163,16 @@ def ideal_traffic(workload, config: Optional[SystemConfig] = None,
         phase_no_priv = sum(float(h.sum()) for h in hop_bytes_of.values())
         if sampled_all > 0:
             perf_priv += (sampled_miss / sampled_all) * phase_no_priv * inv
-        near_llc += _near_llc_traffic(program, stats, hmat, phase) * inv
+        near_llc += _near_llc_traffic(program, geometry) * inv
 
     return {"no_priv": no_priv, "perf_priv": perf_priv,
             "near_llc": near_llc}
 
 
-def _near_llc_traffic(program, stats, hmat, phase) -> float:
+def _near_llc_traffic(program, geometry) -> float:
     """Minimal data movement with everything computed at the banks."""
+    stats, hmat = geometry.stats, geometry.hmat
     total = 0.0
-    by_name = {s.name: s for s in program.graph}
     for stream in program.graph:
         rec = program.recognized[stream.sid]
         if rec.memory_free:
@@ -189,7 +190,7 @@ def _near_llc_traffic(program, stats, hmat, phase) -> float:
                 cst = stats.get(cname)
                 if cst is None or cst.elements == 0:
                     continue
-                hops = forward_hops(st, cst, hmat)
+                hops = geometry.hops(st, cst)
                 total += st.elements * st.element_bytes * hops
         # Indirect requests carry addresses+values bank to bank.
         if stream.kind is AddressPatternKind.INDIRECT \
@@ -197,8 +198,7 @@ def _near_llc_traffic(program, stats, hmat, phase) -> float:
             base = program.graph.stream(stream.base_stream)
             bst = stats.get(base.name)
             if bst is not None and bst.elements:
-                n = min(st.elements, bst.elements)
-                hops = float(hmat[bst.banks[:n], st.banks[:n]].mean())
+                hops = geometry.hops(bst, st)
                 # The request carries the base stream's value (pure data).
                 total += st.elements * bst.element_bytes * hops
         # Pointer chases carry the traversal state between banks.

@@ -53,10 +53,12 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     their address layout (:mod:`repro.workloads.build_cache`): one store
     entry per (workload, scale, seed, ``config.layout``) holds the
     compiled programs, the packed stream traces and the derived stream
-    geometry.  A hit skips the build (``run.replay``); a miss builds and
-    records one (``run.build``, ``run.record``) and stores it after the
-    run has derived its geometry (``run.store``), so every later run of
-    any mode, timing knob or SE knob on that layout replays.  The trace
+    geometry, stream pairs included.  A hit skips the build
+    (``run.replay``) and reads its geometry from the entry; a miss
+    builds and records one (``run.build``, ``run.record``) and stores it
+    after the run has derived its geometry and completed every pair any
+    mode asks for (``run.store``), so every later run of any mode,
+    timing knob or SE knob on that layout replays.  The trace
     this process last loaded is kept while its store entry is unchanged,
     so a loop over modes or knobs by name reads and decodes it once: a
     later run of the same key counts one store hit, reads no bytes and
@@ -156,14 +158,14 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
 
     engines = []
     for index, (phase, program) in enumerate(pairs):
-        stats = None
+        geometry = None
         if program is None:
             with profiler.stage("run.compile"):
                 program = compile_kernel(phase.kernel)
         else:
             with profiler.stage("phase.stats"):
-                stats = trace.stats_for(index, phase, machine.mesh,
-                                        hmat=hmat)
+                geometry = trace.geometry_for(index, phase, machine.mesh,
+                                              hmat=hmat)
         flow = machine.fresh_flow()
         with profiler.stage("phase.setup"):
             engine = PhaseEngine(config, run_space, program, phase, mode,
@@ -171,9 +173,7 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                                  machine.hierarchies,
                                  sample_cores=sample_cores,
                                  profiler=profiler, fault_plan=fault_plan,
-                                 tracer=tracer, stats=stats)
-        if trace is not None:
-            engine.forward_groups = trace.forward_groups(index)
+                                 tracer=tracer, geometry=geometry)
         engines.append(engine)
 
     # The sampled cache walk reads nothing of the run but the trace, the

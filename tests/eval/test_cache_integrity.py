@@ -97,16 +97,18 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     """End to end: damaging the trace entry a sweep wrote never changes
     numbers.  ``replay``: flipped bytes in the envelope quarantine it and
     the re-sweep rebuilds.  ``stats``: a well-formed entry whose packed
-    geometry no longer describes the trace makes the re-sweep recompute
-    the geometry.  Both are bit-identical to the first sweep, both
-    rewrite the entry once, and the sweep after that replays the
-    stored geometry without recomputing it."""
+    geometry no longer describes the trace — first its stream names,
+    then one stream-pair entry — makes the re-sweep recompute the
+    geometry.  Each damage is bit-identical to the first sweep, rewrites
+    the entry once, and the sweep after that replays the stored geometry
+    without recomputing it."""
     import dataclasses
 
     from repro.config import SystemConfig
     from repro.eval.sweep import SweepPoint, run_sweep
     from repro.offload.modes import ExecMode
     from repro.sim import replay
+    from repro.sim.tracestats import PairGeometry
     from repro.workloads.build_cache import trace_key
 
     cache = ResultCache(tmp_path)
@@ -118,15 +120,24 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     path = cache._path(key)
     assert ResultCache._entry_kind(path.read_bytes()) == KIND_REPLAY
     n_phases = len(cache.lookup(key).phases)
-    if kind_label == "replay":
+
+    def flip_bytes():
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 3] ^= 0xFF
         path.write_bytes(bytes(blob))
-    else:
+
+    def repack(damage):
         trace = cache.lookup(key)
-        trace.stats = [dataclasses.replace(p, names=["bogus"] * len(p.names))
-                       for p in trace.stats]
+        trace.stats = [damage(p) for p in trace.stats]
         assert cache.store(key, trace, kind=KIND_REPLAY)
+
+    def rename_streams():
+        repack(lambda p: dataclasses.replace(
+            p, names=["bogus"] * len(p.names)))
+
+    def bogus_pair():
+        repack(lambda p: dataclasses.replace(
+            p, pairs={**p.pairs, ("hops", "bogus", p.names[0]): 1.0}))
 
     def drop_results():
         # so a re-sweep exercises the trace entry instead of
@@ -137,33 +148,55 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
                     == "result":
                 entry.unlink()
 
-    computed = []
+    computed, pairs = [], []
     compute = replay.compute_phase_stats
+    get = PairGeometry._get
 
     def counting(*args, **kwargs):
         computed.append(1)
         return compute(*args, **kwargs)
 
-    monkeypatch.setattr(replay, "compute_phase_stats", counting)
-    drop_results()
-    fresh = ResultCache(tmp_path)
-    results = run_sweep([point], jobs=1, cache=fresh)
-    assert results.ok
-    assert results[point].to_dict() == first.to_dict()
-    # quarantining happened in the group's own cache handle; the files
-    # in the shared quarantine directory are the durable evidence
-    quarantined = list(fresh.quarantine_root.glob("*.pkl"))
-    assert len(quarantined) == (1 if kind_label == "replay" else 0)
-    # one recompute, and the entry now carries geometry for its phases
-    assert len(computed) == n_phases
-    rewritten = ResultCache(tmp_path).lookup(key)
-    assert [p.names for p in rewritten.stats] \
-        == [p.names for p in rewritten.phases]
+    def counting_get(self, pair_key, *args):
+        if pair_key not in self.entries:
+            pairs.append(pair_key)
+        return get(self, pair_key, *args)
 
-    drop_results()
-    again = run_sweep([point], jobs=1, cache=ResultCache(tmp_path))
-    assert again[point].to_dict() == first.to_dict()
-    assert len(computed) == n_phases  # the packed geometry served it
+    monkeypatch.setattr(replay, "compute_phase_stats", counting)
+    monkeypatch.setattr(PairGeometry, "_get", counting_get)
+    damages = ([flip_bytes] if kind_label == "replay"
+               else [rename_streams, bogus_pair])
+    for damage in damages:
+        damage()
+        del computed[:], pairs[:]
+        drop_results()
+        before = cache.entry_identity(key)
+        fresh = ResultCache(tmp_path)
+        results = run_sweep([point], jobs=1, cache=fresh)
+        assert results.ok
+        assert results[point].to_dict() == first.to_dict()
+        # quarantining happened in the group's own cache handle; the
+        # files in the shared quarantine directory are the durable
+        # evidence
+        quarantined = list(fresh.quarantine_root.glob("*.pkl"))
+        assert len(quarantined) == (1 if kind_label == "replay" else 0)
+        # one recompute and one rewrite: the entry now carries geometry
+        # for its phases, pairs included
+        assert len(computed) == n_phases and pairs
+        rewritten_at = cache.entry_identity(key)
+        assert rewritten_at != before
+        rewritten = ResultCache(tmp_path).lookup(key)
+        assert [p.names for p in rewritten.stats] \
+            == [p.names for p in rewritten.phases]
+        assert all(p.pairs and all(k[1] != "bogus" for k in p.pairs)
+                   for p in rewritten.stats)
+
+        drop_results()
+        del pairs[:]
+        again = run_sweep([point], jobs=1, cache=ResultCache(tmp_path))
+        assert again[point].to_dict() == first.to_dict()
+        assert len(computed) == n_phases  # the packed geometry served it
+        assert pairs == []
+        assert cache.entry_identity(key) == rewritten_at
 
 
 def test_stats_and_disk_stats_exclude_quarantine(tmp_path):

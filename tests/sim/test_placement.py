@@ -105,10 +105,12 @@ def test_every_plan_has_a_reason():
 @pytest.mark.parametrize("workload", ["pathfinder", "pr_pull", "histogram",
                                       "bin_tree"])
 def test_plans_identical_with_precomputed_stats(workload):
-    """plan_streams(stats=...) reuses the stored distinct-line counts;
-    every decision and reason must match the recompute-from-trace path."""
+    """plan_streams(geometry=...) reuses the stored distinct-line counts
+    and load-overlap entries; every decision and reason must match the
+    recompute-from-trace path."""
     from repro.noc import Mesh
-    from repro.sim.tracestats import compute_phase_stats, hops_matrix
+    from repro.sim.tracestats import (PairGeometry, compute_phase_stats,
+                                      hops_matrix)
 
     cfg = SystemConfig.ooo8()
     wl = make_workload(workload, scale=SCALE)
@@ -118,9 +120,11 @@ def test_plans_identical_with_precomputed_stats(workload):
     mesh = Mesh(cfg.noc)
     stats = compute_phase_stats(phase.traces, wl.space, mesh,
                                 hops_matrix(mesh), cfg.page_bytes)
+    geometry = PairGeometry(program, phase, stats, mesh)
     for mode in ExecMode:
         without = plan_streams(program, phase, mode, cfg)
-        with_stats = plan_streams(program, phase, mode, cfg, stats=stats)
+        with_stats = plan_streams(program, phase, mode, cfg,
+                                  geometry=geometry)
         assert {sid: (p.placement, p.reason)
                 for sid, p in with_stats.items()} \
             == {sid: (p.placement, p.reason)

@@ -1,12 +1,15 @@
-"""Per-trace memos of the sampled cache walk and the forward groups.
+"""Per-trace memos of the sampled cache walk and the pair geometry.
 
 A replayed :class:`~repro.sim.replay.FunctionalTrace` keeps, for the life
 of the object, each run's raw per-stream level counts, keyed by the
 machine's cache shape (sampled cores, scaled L1/L2 geometry, L3 lines)
-and every phase's stream paths, and each phase's forward groups per
-offloaded consumer. A run that reuses them must equal the same run on a
-freshly loaded trace whose memos are empty; a run on another cache shape
-must walk afresh; and neither memo is pickled.
+and every phase's stream paths, and each phase's
+:class:`~repro.sim.tracestats.PairGeometry` (forward groups among its
+entries). A run that reuses them must equal the same run on a freshly
+loaded trace whose memos are empty; a run on another cache shape must
+walk afresh; and neither memo is pickled. A stored trace carries its
+pair entries, so on a freshly loaded trace even the first run computes
+no forward groups; a trace without them computes them once.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from repro.offload.modes import ExecMode
 from repro.sim.machine import Machine
 from repro.sim.phase import PhaseEngine
 from repro.sim.run import run_workload
+from repro.sim.tracestats import PairGeometry
 from repro.workloads import build_cache
 from repro.workloads.build_cache import trace_key
 
@@ -66,7 +70,7 @@ def _fresh(workload):
     if trace is None:
         run_workload(workload, ExecMode.BASE, config=CONFIG, scale=SCALE)
         trace = cache.lookup(key)
-    assert not trace._levels and not trace._forwards
+    assert not trace._levels and not trace._geometry
     return trace
 
 
@@ -89,21 +93,39 @@ def test_modes_by_name_equal_runs_on_a_fresh_trace(cache_dir, monkeypatch,
     assert sampled_by_name < len(sampled)
 
 
-def test_reusing_run_walks_nothing(cache_dir, walks, monkeypatch):
-    """BASE walks the private caches and NS forwards between SE_L3s;
-    a second run of each on the same trace does neither."""
-    groups = _counter(monkeypatch, PhaseEngine, "_forward_groups")
-    trace = _fresh("hotspot")
+def _reuse_case(trace, walks, monkeypatch):
+    """Run BASE and NS twice on ``trace``: forward-group computations of
+    the first pair of runs, and the check that the second pair walks and
+    forwards nothing and equals the first."""
+    groups = _counter(monkeypatch, PairGeometry, "_forwards")
     modes = (ExecMode.BASE, ExecMode.NS)
     first = [run_workload(trace, mode, config=CONFIG) for mode in modes]
-    assert walks and groups
-    assert any(g for phase in trace._forwards.values()
-               for g in phase.values()), "no forward groups to reuse"
+    assert walks
+    assert any(value for geometry in trace._geometry.values()
+               for key, value in geometry.entries.items()
+               if key[0] == "forwards"), "no forward groups to reuse"
+    computed = len(groups)
     walks.clear()
     groups.clear()
     again = [run_workload(trace, mode, config=CONFIG) for mode in modes]
     assert not walks and not groups
     assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+    return computed
+
+
+def test_reusing_run_walks_nothing(cache_dir, walks, monkeypatch):
+    """BASE walks the private caches and NS forwards between SE_L3s; a
+    second run of each on the same trace does neither.  The stored trace
+    carries its forward groups, so even its first NS run computes none."""
+    assert _reuse_case(_fresh("hotspot"), walks, monkeypatch) == 0
+
+
+def test_trace_without_stored_pairs_computes_forwards_once(
+        cache_dir, walks, monkeypatch):
+    """A trace whose stored geometry is stripped computes the forward
+    groups on its first NS run, and only then."""
+    bare = dataclasses.replace(_fresh("hotspot"), stats=None)
+    assert _reuse_case(bare, walks, monkeypatch) > 0
 
 
 def _other_l1(config):
@@ -133,10 +155,10 @@ def test_other_cache_shape_walks_afresh(cache_dir, walks, change):
 def test_memos_are_not_pickled(cache_dir):
     trace = _fresh("hotspot")
     run_workload(trace, ExecMode.NS, config=CONFIG)
-    assert trace._levels and trace._forwards
+    assert trace._levels and trace._geometry
     state = trace.__getstate__()
-    assert "_levels" not in state and "_forwards" not in state
-    assert state["_stats"] == {}
+    assert "_levels" not in state and "_geometry" not in state
     copy = pickle.loads(pickle.dumps(trace))
-    assert copy._levels == {} and copy._forwards == {}
-    assert dataclasses.replace(trace)._levels == {}
+    assert copy._levels == {} and copy._geometry == {}
+    replaced = dataclasses.replace(trace)
+    assert replaced._levels == {} and replaced._geometry == {}

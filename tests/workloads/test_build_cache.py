@@ -57,7 +57,7 @@ def test_cold_build_stores_warm_build_loads(tmp_path):
     assert warm is not cold  # fresh object per lookup, no shared state
     assert warm.workload == cold.workload
     assert len(warm.phases) == len(cold.phases)
-    assert warm.stats is not None and not warm._stats
+    assert warm.stats is not None and not warm._geometry
     for a, b in zip(warm.phases, cold.phases):
         assert np.array_equal(a.vaddrs, b.vaddrs)
 
