@@ -89,7 +89,7 @@ def _recorded(config):
     trace = load_or_record("histogram", SCALE, 42, config, None)
     mesh = Mesh(config.noc)
     for i, (phase, _) in enumerate(trace.phase_programs()):
-        trace.stats_for(i, phase, mesh)
+        trace.geometry_for(i, phase, mesh)
     assert trace.pack_stats()
     return trace
 

@@ -77,7 +77,7 @@ def test_protocol_cache_reused_within_engine():
     engine.sample_caches()
     stream = next(s for s in engine.program.graph
                   if engine.plans[s.sid].placement.at_llc)
-    stats = engine._stream_stats(stream)
+    stats = engine.geometry.stream_stats(stream)
     first = engine.protocol_for(stream, stats)
     second = engine.protocol_for(stream, stats)
     assert first is second

@@ -131,7 +131,7 @@ def _recorded_with_stats(workload, config):
     trace = load_or_record(workload, SCALE, SEED, config, None)
     mesh = Machine.build(config, sample_cores=4, data_scale=SCALE).mesh
     for i, (phase, _) in enumerate(trace.phase_programs()):
-        trace.stats_for(i, phase, mesh)
+        trace.geometry_for(i, phase, mesh)
     assert trace.pack_stats()
     return trace, mesh
 
@@ -158,8 +158,8 @@ def test_store_round_trip_rebuilds_every_array(workload, tmp_path):
         for name, stream in phase.traces.items():
             assert np.shares_memory(stream.vaddrs, lt.vaddrs) \
                 or stream.steps == 0
-        _assert_stats_equal(loaded.stats_for(i, phase, mesh),
-                            trace.stats_for(i, pt.to_phase(), mesh))
+        _assert_stats_equal(loaded.geometry_for(i, phase, mesh).stats,
+                            trace.geometry_for(i, pt.to_phase(), mesh).stats)
 
 
 @pytest.mark.parametrize("workload", ["bfs_push", "bin_tree"])
