@@ -43,6 +43,11 @@ class UopKind(Enum):
     CONTROL = "control"            # branches, loop bookkeeping
     STREAM_OVERHEAD = "stream_overhead"  # s_cfg/s_step/s_load/... instructions
 
+    # Members compare by identity, so identity hashing is consistent with
+    # equality and runs in C; Enum's own hashes the name in Python, and
+    # every UopCounts operation hashes each member.
+    __hash__ = object.__hash__
+
 
 STREAM_ASSOCIATED = frozenset({
     UopKind.STREAM_LOAD,

@@ -60,6 +60,10 @@ class EventKind(Enum):
     #: An evicted SCC thread context is restored.
     CONTEXT_RESTORE = "context_restore"
 
+    # Identity hashing, as MessageType's: traced runs key per-event
+    # tables by these members.
+    __hash__ = object.__hash__
+
 
 #: Track payload kinds (``STREAM_BEGIN``'s ``track_kind`` argument).
 TRACK_PROTOCOL = "protocol"
