@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test golden bench bench-quick replay-bench scale-bench stats-bench report sweep-fast sweep serve service-test chaos profile faults trace examples clean
+.PHONY: install test golden bench bench-quick report sweep-fast sweep chaos profile faults trace examples clean
 
 # Workload/scale for `make profile`.
 W ?= bfs_push
@@ -22,27 +22,10 @@ golden:
 	REPRO_TRACE=1 $(PYTHON) -m tests.golden.corpus
 
 bench:
-	REPRO_BENCH_LOG=BENCH_PR2.json $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:
 	REPRO_SCALE=0.0078125 $(PYTHON) -m pytest benchmarks/ --benchmark-disable
-
-# Cold-vs-warm timings for the trace-replay fast path (BENCH_PR6.json).
-replay-bench:
-	REPRO_BENCH_LOG=BENCH_PR6.json $(PYTHON) -m pytest benchmarks/test_perf_replay.py
-
-# Protocol engine speedup over the event-driven oracle + big-mesh
-# scaling curves (BENCH_PR7.json): engine timing at 16x16,
-# speedup/traffic vs tile count for three workloads, and the 32x32
-# sweep point.
-scale-bench:
-	REPRO_BENCH_LOG=BENCH_PR7.json $(PYTHON) -m pytest benchmarks/test_perf_protocol.py --benchmark-disable
-
-# Derived-geometry stats bundle: warm-path speedups and phase.stats
-# share on the 32x32 mesh, plus steady-state replay throughput vs the
-# BENCH_PR6 baseline (BENCH_PR8.json).
-stats-bench:
-	REPRO_BENCH_LOG=BENCH_PR8.json $(PYTHON) -m pytest benchmarks/test_perf_stats.py --benchmark-disable
 
 report:
 	$(PYTHON) -m repro report
@@ -51,7 +34,7 @@ report:
 # a second invocation is near-instant (`python -m repro cache clear`
 # invalidates).
 sweep-fast:
-	REPRO_BENCH_LOG=BENCH_PR2.json $(PYTHON) -m repro report --jobs 0 --cache
+	$(PYTHON) -m repro report --jobs 0 --cache
 
 # Durable journaled sweep with resume: interrupt it (Ctrl-C, SIGTERM,
 # even SIGKILL) and re-run — completed points replay from the journal,
@@ -60,24 +43,12 @@ SWEEP_W ?= bfs_push sssp histogram
 sweep:
 	$(PYTHON) -m repro sweep $(SWEEP_W) --journal sweep.jsonl --resume --watchdog 600
 
-# Long-lived sweep daemon on a unix socket: `repro submit`/`repro
-# status` from any shell share one scheduler, one cache, and one
-# journal; restart the daemon and it adopts everything the journal
-# holds (stop with `python -m repro serve --stop`).
-serve:
-	$(PYTHON) -m repro serve --journal service.jsonl --event-log events.jsonl --watchdog 600
-
-# Sweep-service suites: jobstore contract, daemon lifecycle
-# (dedup/reconnect/SIGKILL-restart), and the scheduler regressions the
-# service work flushed out (single-group watchdog, queue-wait billing).
-service-test:
-	$(PYTHON) -m pytest -x -q tests/service tests/eval/test_sweep_scheduler.py
-
 # Storage/worker chaos harness: seeded fault injection against the
-# cache store, journal durability, concurrent-writer stress, and the
-# SIGKILL-then-resume bit-identity suite.
+# cache store, journal durability, concurrent-writer stress, the
+# SIGKILL-then-resume bit-identity suite, and the scheduler and job-store
+# suites.
 chaos:
-	$(PYTHON) -m pytest -x -q tests/fault/test_chaos.py tests/eval/test_journal.py tests/eval/test_concurrent_writers.py tests/eval/test_sweep_resume.py
+	$(PYTHON) -m pytest -x -q tests/fault/test_chaos.py tests/eval/test_journal.py tests/eval/test_concurrent_writers.py tests/eval/test_sweep_resume.py tests/eval/test_sweep_scheduler.py tests/eval/test_jobstore.py
 
 # Per-stage simulator wall-time breakdown (override with W=<workload>).
 profile:

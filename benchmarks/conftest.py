@@ -4,11 +4,6 @@
 paper's sizes by default. Sensitivity sweeps (Figs 13/14/16/17) run many
 simulations, so they use representative workload subsets and a smaller
 scale; the headline benches (Figs 9-12) run all 14 workloads.
-
-``REPRO_BENCH_LOG`` (env var) names an append-only JSON-lines file (e.g.
-``BENCH_PR2.json``); when set, perf benchmarks record machine-readable
-results there via the ``bench_log`` fixture, building the perf
-trajectory across PRs.
 """
 
 import os
@@ -24,7 +19,6 @@ if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
 
 from repro.eval import EvalConfig
-from repro.eval.benchlog import append_record
 
 DEFAULT_SCALE = 1.0 / 64.0
 SWEEP_SCALE = 1.0 / 128.0
@@ -33,18 +27,6 @@ SWEEP_SCALE = 1.0 / 128.0
 def _scale(default: float) -> float:
     value = os.environ.get("REPRO_SCALE")
     return float(value) if value else default
-
-
-@pytest.fixture
-def bench_log():
-    """Append one record to ``$REPRO_BENCH_LOG`` (no-op when unset).
-
-    Usage: ``bench_log("benchmark", name=..., lines_per_sec=..., ...)``.
-    """
-    def _log(kind: str, **fields):
-        fields.setdefault("scale", _scale(DEFAULT_SCALE))
-        return append_record(kind, **fields)
-    return _log
 
 
 @pytest.fixture(scope="session")

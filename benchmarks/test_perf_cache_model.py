@@ -3,10 +3,10 @@
 Benchmarks the vectorized :class:`~repro.mem.cache.CacheModel` on an
 element-granularity trace shaped like the simulator's own: 60% sequential
 streams that touch each 64B line 8 times in a row (8-byte elements), 40%
-random churn, 30% writes.  Records lines/sec in ``extra_info`` so
-BENCH_*.json tracks the hot path across PRs, and asserts the ≥5x speedup
-over the scalar oracle (``tests/oracles/cache_ref.py``), each timed as its
-best of three interleaved runs, with exact stat equivalence.
+random churn, 30% writes.  Records lines/sec in ``extra_info`` and
+asserts the ≥5x speedup over the scalar oracle
+(``tests/oracles/cache_ref.py``), each timed as its best of three
+interleaved runs, with exact stat equivalence.
 """
 
 import time
@@ -44,7 +44,7 @@ def _make_trace(seed=3, n=TRACE_LEN, run_frac=0.6, runlen=32, repeats=8):
 
 @pytest.mark.parametrize("policy", [ReplacementPolicy.LRU,
                                     ReplacementPolicy.BRRIP])
-def test_cache_model_throughput(benchmark, policy, bench_log):
+def test_cache_model_throughput(benchmark, policy):
     addrs, writes = _make_trace()
 
     def run():
@@ -57,8 +57,6 @@ def test_cache_model_throughput(benchmark, policy, bench_log):
         lines_per_sec = TRACE_LEN / benchmark.stats.stats.mean
         benchmark.extra_info["lines_per_sec"] = round(lines_per_sec)
         benchmark.extra_info["policy"] = policy.name
-        bench_log("benchmark", name="cache_model_throughput",
-                  policy=policy.name, lines_per_sec=round(lines_per_sec))
         print(f"\n{policy.name}: {lines_per_sec / 1e6:.2f} M lines/s "
               f"({result.hits} hits / {result.misses} misses)")
 

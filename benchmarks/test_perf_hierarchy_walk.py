@@ -1,8 +1,8 @@
 """Batched hierarchy walk and vectorized lock analysis throughput.
 
 The two remaining `sample_caches`/`analyze_locks` hot paths after the
-batched-walk PR. Each benchmark records lines (or ops) per second into
-``$REPRO_BENCH_LOG`` and asserts a healthy speedup over the scalar
+batched-walk PR. Each benchmark records lines (or ops) per second in
+``extra_info`` and asserts a healthy speedup over the scalar
 oracle (``tests/oracles``) with exact equivalence on the same trace —
 the perf claim and the correctness claim in one place.
 """
@@ -48,7 +48,7 @@ def _walk_trace(seed=9, n=TRACE_LEN):
     return lines, writes, skip
 
 
-def test_hierarchy_walk_throughput(benchmark, bench_log):
+def test_hierarchy_walk_throughput(benchmark):
     lines, writes, skip = _walk_trace()
     config = SystemConfig.ooo8()
 
@@ -60,8 +60,6 @@ def test_hierarchy_walk_throughput(benchmark, bench_log):
     if benchmark.stats is not None:
         lines_per_sec = TRACE_LEN / benchmark.stats.stats.mean
         benchmark.extra_info["lines_per_sec"] = round(lines_per_sec)
-        bench_log("benchmark", name="hierarchy_walk_throughput",
-                  lines_per_sec=round(lines_per_sec))
         print(f"\nwalk: {lines_per_sec / 1e6:.2f} M lines/s")
 
 
@@ -89,7 +87,7 @@ def test_walk_speedup_over_scalar():
 
 
 @pytest.mark.parametrize("kind", [LockKind.EXCLUSIVE, LockKind.MRSW])
-def test_lock_analysis_throughput(benchmark, kind, bench_log):
+def test_lock_analysis_throughput(benchmark, kind):
     rng = np.random.default_rng(4)
     n = TRACE_LEN
     lines = rng.integers(0, n // 16, size=n).astype(np.int64)
@@ -102,8 +100,6 @@ def test_lock_analysis_throughput(benchmark, kind, bench_log):
         ops_per_sec = n / benchmark.stats.stats.mean
         benchmark.extra_info["ops_per_sec"] = round(ops_per_sec)
         benchmark.extra_info["kind"] = kind.name
-        bench_log("benchmark", name="lock_analysis_throughput",
-                  lock_kind=kind.name, ops_per_sec=round(ops_per_sec))
         print(f"\n{kind.name}: {ops_per_sec / 1e6:.2f} M ops/s")
 
 

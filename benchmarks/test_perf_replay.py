@@ -4,13 +4,12 @@ Times three variants of the same (workload, mode, config, scale, seed)
 run — live with replay off, cold (records the functional trace into a
 fresh cache), and warm (replays it) — for ``bfs_push`` and ``hash_join``,
 the two workloads whose functional pass (Kronecker generation / hash
-build) dominates their cold run time.  Records ``kind: "replay"``
-rows to ``$REPRO_BENCH_LOG`` so BENCH_*.json tracks the fast path
-across PRs, and asserts replay's contract: bit-identical results and a
-profile that shows no build or compile work.  The throughput bench
-forgets the trace its process last loaded before every timed call, so
-it keeps timing the store load and decode; the reuse of that trace
-(:func:`~repro.workloads.build_cache.load_or_record`) is logged beside.
+build) dominates their cold run time.  Prints the timings and asserts
+replay's contract: bit-identical results and a profile that shows no
+build or compile work.  The throughput bench forgets the trace its
+process last loaded before every timed call, so it keeps timing the
+store load and decode; the reuse of that trace
+(:func:`~repro.workloads.build_cache.load_or_record`) is printed beside.
 """
 
 import os
@@ -38,7 +37,7 @@ def fresh_cache(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_replay_vs_cold(workload, fresh_cache, bench_log):
+def test_replay_vs_cold(workload, fresh_cache):
     config = SystemConfig.ooo8()
 
     t0 = time.perf_counter()
@@ -64,19 +63,14 @@ def test_replay_vs_cold(workload, fresh_cache, bench_log):
     assert "run.compile" not in warm.profile
 
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
-    bench_log("replay", workload=workload, mode="ns",
-              live_seconds=round(t_live, 4),
-              cold_seconds=round(t_cold, 4),
-              warm_seconds=round(t_warm, 4),
-              speedup=round(speedup, 2))
     print(f"\n{workload}: live {t_live:.3f}s, cold {t_cold:.3f}s, "
           f"warm {t_warm:.3f}s ({speedup:.1f}x cold->warm)")
     # Lax floor: replay must not be slower than the recording run.  The
-    # real perf claims live in EXPERIMENTS.md / BENCH_PR6.json.
+    # real perf claims live in EXPERIMENTS.md.
     assert t_warm <= t_cold
 
 
-def test_replay_throughput(benchmark, fresh_cache, bench_log, monkeypatch):
+def test_replay_throughput(benchmark, fresh_cache, monkeypatch):
     """Steady-state replay rate for bfs_push (the warm sweep unit), each
     replay loading its trace from the store."""
     config = SystemConfig.ooo8()
@@ -100,10 +94,6 @@ def test_replay_throughput(benchmark, fresh_cache, bench_log, monkeypatch):
             t_reuse = min(t_reuse, time.perf_counter() - t0)
         mean = benchmark.stats.stats.mean
         benchmark.extra_info["seconds_per_replay"] = round(mean, 4)
-        bench_log("replay", name="replay_throughput", workload="bfs_push",
-                  seconds_per_replay=round(mean, 4),
-                  points_per_sec=round(1.0 / mean, 2) if mean else None,
-                  reuse_seconds_per_replay=round(t_reuse, 4))
         print(f"\nbfs_push replay: {mean:.3f}s/run "
               f"({1.0 / mean:.2f} points/s), reusing the loaded trace "
               f"{t_reuse:.3f}s/run")

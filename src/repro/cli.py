@@ -10,9 +10,6 @@ Usage::
     python -m repro table 1                         # print a paper table
     python -m repro faults bfs_push                 # recovery-cost curve
     python -m repro trace bfs_push --out trace.json # protocol event trace
-    python -m repro serve --journal j.jsonl &       # long-lived sweep daemon
-    python -m repro submit bfs_push srad --modes all  # sweep via the daemon
-    python -m repro status                          # daemon job queue
     python -m repro cache stats                     # persistent-cache usage
     python -m repro cache clear --quarantine        # drop quarantined only
     python -m repro list                            # workloads and modes
@@ -33,12 +30,6 @@ completed/failed point as it lands, ``--resume`` restarts a killed
 sweep computing only the missing points (bit-identical results),
 ``--watchdog SEC`` kills and retries a group whose worker stops
 heartbeating, and a failure summary table prints after every run.
-
-``repro serve`` keeps that machinery resident (DESIGN.md §5h): a daemon
-on a unix socket sharing one job store across clients, so identical
-in-flight points dedup by content key, every completed point journals
-immediately, and ``repro submit``/``repro status`` stream per-point
-progress — bit-identical results to ``repro sweep`` on the same points.
 """
 
 from __future__ import annotations
@@ -396,8 +387,6 @@ def cmd_fig(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the headline experiments and print the paper-comparison block."""
-    import time as _time
-
     import numpy as _np
 
     from repro.eval.experiments import (
@@ -409,7 +398,6 @@ def cmd_report(args) -> int:
                      jobs=args.jobs, use_cache=cache is not None)
     print(f"Running the headline sweep at scale {args.scale:g} "
           f"({len(cfg.workload_names())} workloads x 8 modes)...\n")
-    t_start = _time.perf_counter()
 
     f9 = fig9_overall_speedup(cfg)
     gm = f9["geomean"]
@@ -442,11 +430,6 @@ def cmd_report(args) -> int:
     print("\n* hot loops only here vs whole program in the paper "
           "(see EXPERIMENTS.md)")
     _print_cache_stats(cache)
-    from repro.eval.benchlog import append_record
-    append_record("sweep", scale=args.scale, jobs=args.jobs,
-                  workloads=len(cfg.workload_names()),
-                  cached=cache is not None,
-                  seconds=round(_time.perf_counter() - t_start, 3))
     return 0
 
 
@@ -469,7 +452,6 @@ def _mesh_config(args) -> Optional[SystemConfig]:
 def cmd_profile(args) -> int:
     """Run one workload+mode and print the simulator's own stage profile."""
     import time as _time
-    from repro.eval.benchlog import append_record, mesh_fields
     from repro.sim.profiler import check_stage_totals, format_profile, \
         format_top_stages
     from repro.sim.run import run_workload
@@ -501,11 +483,6 @@ def cmd_profile(args) -> int:
         print(f"coverage: {measured / wall:.1%} of wall tracked by stages")
     if args.top:
         print(format_top_stages(result.profile, args.top, wall))
-    append_record("profile", workload=args.workload, mode=mode.value,
-                  scale=args.scale, seconds=round(wall, 4),
-                  stages={name: round(t.seconds, 4)
-                          for name, t in result.profile.items()},
-                  **mesh_fields(config))
     return 0
 
 
@@ -569,8 +546,6 @@ def cmd_trace(args) -> int:
     registry, optionally writes a Chrome trace-event JSON (``--out``),
     and exits non-zero if the sanitizer found violations.
     """
-    import time as _time
-    from repro.eval.benchlog import append_record, mesh_fields
     from repro.sim.run import run_workload
     from repro.trace import Tracer, export_chrome_trace, format_metrics
 
@@ -581,10 +556,8 @@ def cmd_trace(args) -> int:
     if config is None:
         return 2
     tracer = Tracer(strict=False, keep_events=args.out is not None)
-    t0 = _time.perf_counter()
     result = run_workload(args.workload, mode, config=config,
                           scale=args.scale, seed=args.seed, tracer=tracer)
-    wall = _time.perf_counter() - t0
     print(result.summary())
     print()
     print(format_metrics(result.trace))
@@ -595,165 +568,7 @@ def cmd_trace(args) -> int:
               f"(load in chrome://tracing or ui.perfetto.dev)")
     for violation in tracer.violations:
         print(f"\nVIOLATION: {violation}", file=sys.stderr)
-    append_record("trace", workload=args.workload, mode=mode.value,
-                  scale=args.scale, seconds=round(wall, 4),
-                  events=tracer.n_events, tracks=result.trace.n_tracks,
-                  checks=int(tracer.sanitizer.checks),
-                  violations=len(tracer.violations),
-                  **mesh_fields(config))
     return 1 if tracer.violations else 0
-
-
-def cmd_serve(args) -> int:
-    """Run the long-lived sweep daemon (or stop one with ``--stop``).
-
-    The daemon owns one shared job store for its whole lifetime, so
-    every client benefits from every other client's completed points.
-    Exit codes: 0 clean shutdown, 2 socket already claimed / bad usage,
-    130 on Ctrl-C.
-    """
-    from repro.eval.service.client import ServiceClient, ServiceError
-    from repro.eval.service.daemon import SweepDaemon
-
-    if args.stop:
-        try:
-            ServiceClient(args.socket, timeout=5.0).shutdown()
-        except ServiceError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-        print(f"stopped daemon on {args.socket}")
-        return 0
-    cache = _sweep_cache(args)
-    daemon = SweepDaemon(socket_path=args.socket, journal=args.journal,
-                         cache=cache, event_log=args.event_log,
-                         jobs=args.jobs, timeout=args.timeout,
-                         watchdog=args.watchdog)
-    print(f"repro serve: listening on {args.socket}"
-          + (f", journal {args.journal}" if args.journal else "")
-          + (f", event log {args.event_log}" if args.event_log else ""),
-          flush=True)
-    try:
-        daemon.serve_forever()
-    except RuntimeError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 130
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit a sweep to a running daemon and follow it to completion.
-
-    Exit codes mirror ``repro sweep``: 0 all points done, 1 some
-    failed, 2 bad usage or no daemon.  ``--no-follow`` prints the job
-    id and returns immediately (poll with ``repro status``); a dropped
-    ``repro submit`` never cancels the work.
-    """
-    import json as _json
-    from repro.eval.service.client import ServiceClient, ServiceError
-
-    for name in args.workloads:
-        if not _check_workload(name):
-            return 2
-    config = None
-    if args.mesh is not None:
-        if _mesh_config(args) is None:
-            return 2
-        config = {"preset": "mesh", "mesh": [args.mesh, args.mesh]}
-    modes = list(MODES) if "all" in args.modes else args.modes
-    request = {"workloads": args.workloads, "modes": modes,
-               "scale": args.scale, "seed": args.seed, "config": config,
-               "jobs": args.jobs, "timeout": args.timeout,
-               "watchdog": args.watchdog, "verbose": args.verbose}
-    client = ServiceClient(args.socket)
-    collected = []
-
-    def on_event(event):
-        collected.append(event)
-        kind = event.get("event", "")
-        if kind.startswith("point-") and not args.json:
-            print(f"[{event['seq']:>5}] {kind[6:]:<8} "
-                  f"{event['workload']}/{event['mode']}"
-                  + (f"  ({event.get('origin')})"
-                     if event.get("origin") else "")
-                  + (f"  {event.get('stage')}: {event.get('error')}"
-                     if kind == "point-failed" else ""))
-
-    try:
-        if not args.follow:
-            header = client.submit_nowait(request)
-            print(f"submitted {header['job']}: {header['total']} points, "
-                  f"{header['new']} new (repro status to poll)")
-            return 0
-        done = client.submit(request, on_event=on_event)
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    payload = done["results"]
-    if args.timeline:
-        from repro.trace.export import export_service_timeline
-        n = export_service_timeline(collected, args.timeline)
-        print(f"wrote {n} timeline events to {args.timeline} "
-              f"(load in chrome://tracing or ui.perfetto.dev)",
-              file=sys.stderr)
-    if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if not payload["failures"] else 1
-    base = {(r["workload"], "base"): r["result"]["cycles"]
-            for r in payload["results"] if r["mode"] == "base"}
-    rows = []
-    for entry in payload["results"]:
-        ref = base.get((entry["workload"], "base"))
-        cycles = entry["result"]["cycles"]
-        speedup = (f"{ref / cycles:.2f}x"
-                   if ref is not None and cycles > 0 else "-")
-        rows.append([entry["workload"], entry["mode"],
-                     f"{cycles:.4g}", speedup])
-    for failure in payload["failures"]:
-        rows.append([failure["workload"], failure["mode"], "FAILED",
-                     f"{failure['stage']}: {failure['error']}"])
-    print(format_table(
-        ["workload", "mode", "cycles", "speedup"], rows,
-        title=f"{done['job']}: {len(payload['results'])}/{done['total']} "
-              f"points (scale {args.scale:g}, {done['new']} computed "
-              f"here)"))
-    return 0 if not payload["failures"] else 1
-
-
-def cmd_status(args) -> int:
-    """Show a running daemon's job queue and point counts."""
-    import json as _json
-    from repro.eval.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.socket, timeout=5.0)
-    try:
-        if args.wait:
-            client.wait_ready(timeout=args.wait)
-        status = client.status()
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(_json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    counts = status["counts"]
-    print(f"daemon pid {status['pid']} on {args.socket} "
-          f"(up {status['uptime_s']:.0f}s, seq {status['seq']})")
-    print(f"points: {counts['pending']} pending, "
-          f"{counts['running']} running, {counts['done']} done, "
-          f"{counts['failed']} failed")
-    for field in ("journal", "event_log", "cache"):
-        if status.get(field):
-            print(f"{field.replace('_', ' '):<9}: {status[field]}")
-    if status["jobs"]:
-        rows = [[j["id"], j["total"], j["running"], j["done"],
-                 j["failed"], "yes" if j["active"] else ""]
-                for j in status["jobs"]]
-        print(format_table(
-            ["job", "points", "running", "done", "failed", "active"],
-            rows, title=f"{len(status['jobs'])} job(s)"))
-    return 0
 
 
 def cmd_cache(args) -> int:
@@ -840,67 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run on an NxN mesh (paper_mesh preset)")
     _add_common(sweep_p, jobs=True, timeout=True, cache=True)
 
-    from repro.eval.service import DEFAULT_SOCKET
-    serve_p = sub.add_parser(
-        "serve", help="long-lived sweep daemon on a unix socket")
-    serve_p.add_argument("--socket", default=DEFAULT_SOCKET,
-                         metavar="PATH",
-                         help=f"unix socket path "
-                              f"(default {DEFAULT_SOCKET})")
-    serve_p.add_argument("--journal", default=None, metavar="FILE",
-                         help="journal every completed/failed point; a "
-                              "restarted daemon adopts journaled results")
-    serve_p.add_argument("--event-log", default=None, metavar="FILE",
-                         help="persist the progress-event stream so "
-                              "clients can resume it across restarts")
-    serve_p.add_argument("--watchdog", type=_positive_seconds,
-                         default=None, metavar="SEC",
-                         help="default heartbeat watchdog for submitted "
-                              "sweeps")
-    serve_p.add_argument("--stop", action="store_true",
-                         help="shut down the daemon on --socket instead "
-                              "of starting one")
-    _add_common(serve_p, jobs=True, timeout=True, cache=True)
-
-    submit_p = sub.add_parser(
-        "submit", help="run a sweep through the daemon (repro serve)")
-    submit_p.add_argument("workloads", nargs="+")
-    submit_p.add_argument("--modes", nargs="+",
-                          choices=sorted(MODES) + ["all"],
-                          default=["base", "ns"], metavar="MODE",
-                          help="execution modes ('all' = every mode; "
-                               "default: base ns)")
-    submit_p.add_argument("--socket", default=DEFAULT_SOCKET,
-                          metavar="PATH")
-    submit_p.add_argument("--mesh", type=int, default=None, metavar="N",
-                          help="run on an NxN mesh (paper_mesh preset)")
-    submit_p.add_argument("--json", action="store_true",
-                          help="emit the job's SweepResults.to_dict()")
-    submit_p.add_argument("--verbose", action="store_true",
-                          help="include clipped tracebacks in failure "
-                               "records")
-    submit_p.add_argument("--no-follow", dest="follow",
-                          action="store_false",
-                          help="print the job id and return without "
-                               "streaming progress")
-    submit_p.add_argument("--watchdog", type=_positive_seconds,
-                          default=None, metavar="SEC",
-                          help="heartbeat watchdog for this submission")
-    submit_p.add_argument("--timeline", default=None, metavar="FILE",
-                          help="write the streamed progress events as a "
-                               "Chrome trace timeline")
-    _add_common(submit_p, jobs=True, timeout=True, cache=True)
-
-    status_p = sub.add_parser(
-        "status", help="show a running daemon's job queue")
-    status_p.add_argument("--socket", default=DEFAULT_SOCKET,
-                          metavar="PATH")
-    status_p.add_argument("--json", action="store_true")
-    status_p.add_argument("--wait", type=_positive_seconds, default=None,
-                          metavar="SEC",
-                          help="poll until the daemon answers (startup "
-                               "races)")
-
     compile_p = sub.add_parser(
         "compile", help="dump the compiled stream program of a workload")
     compile_p.add_argument("workload")
@@ -984,9 +738,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "compile": cmd_compile, "table": cmd_table, "fig": cmd_fig,
                 "report": cmd_report, "cache": cmd_cache,
                 "profile": cmd_profile, "faults": cmd_faults,
-                "trace": cmd_trace, "sweep": cmd_sweep,
-                "serve": cmd_serve, "submit": cmd_submit,
-                "status": cmd_status}
+                "trace": cmd_trace, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
     except SweepFailed as exc:

@@ -11,14 +11,14 @@ journal, skips every point already recorded, and reconstructs their
 :class:`~repro.sim.results.SimResult`\\ s bit-identically — the resumed
 :class:`~repro.eval.sweep.SweepResults` equals an uninterrupted run's.
 
-Records ride the same O_APPEND single-write machinery as the bench log
-(:func:`repro.eval.benchlog.append_jsonl`), so concurrent appenders
-never interleave and a crash can only tear the final line.  Loading is
-paranoid the same way the cache store is: every line must parse, carry
-the journal schema, and — for completed points — hold a payload whose
-SHA-256 matches before it is unpickled.  A torn, corrupt, or
-foreign-schema line is counted and skipped, never trusted and never
-fatal; the affected point is simply recomputed.
+Each record is one ``os.write`` on an ``O_APPEND`` descriptor
+(:func:`append_jsonl`), so concurrent appenders never interleave and a
+crash can only tear the final line.  Loading is paranoid the same way
+the cache store is: every line must parse, carry the journal schema,
+and — for completed points — hold a payload whose SHA-256 matches
+before it is unpickled.  A torn, corrupt, or foreign-schema line is
+counted and skipped, never trusted and never fatal; the affected point
+is simply recomputed.
 
 The journal is an append-only log, not a database: resuming a sweep
 whose definition changed is safe (records are keyed by the same content
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import os
 import pickle
 from pathlib import Path
 from typing import Any, Dict, Optional
-
-from repro.eval.benchlog import append_jsonl, iter_jsonl
 
 #: Bump when the journal record layout changes incompatibly; loaders
 #: skip records from other schemas (the points are recomputed).
@@ -45,11 +44,55 @@ JOURNAL_SCHEMA = 1
 #: Record kinds (``kind`` field).
 KIND_START = "sweep-start"
 KIND_POINT = "sweep-point"
-KIND_EVENT = "service-event"
 
 #: Point statuses (``status`` field).
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+
+
+def append_jsonl(path: os.PathLike, record: Dict[str, Any]) -> None:
+    """Append one JSON object as a single atomic line.
+
+    The whole line lands in one ``os.write`` on an ``O_APPEND``
+    descriptor, which POSIX makes atomic with respect to other appenders
+    for writes of this size — concurrent writers (two sweeps sharing one
+    journal) never interleave bytes mid-record, and a crash can only
+    tear the final line, which readers skip.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    line = (json.dumps(record, sort_keys=True) + "\n").encode()
+    fd = os.open(target, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+    try:
+        os.write(fd, line)
+    finally:
+        os.close(fd)
+
+
+def iter_jsonl(path: os.PathLike):
+    """Yield the JSON objects of a JSONL file, skipping torn lines.
+
+    Anything that does not parse to a JSON object — a truncated tail
+    from a crashed writer, stray text, bytes that are not valid UTF-8 —
+    is silently skipped so a partial history stays usable. The file is
+    read in binary and decoded per line: a writer killed mid-way through
+    a multi-byte UTF-8 sequence must only lose that line, not make the
+    whole file unreadable.  A missing file yields nothing.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for raw in fh:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(record, dict):
+                    yield record
+    except FileNotFoundError:
+        pass
 
 
 class JournalState:
@@ -147,7 +190,7 @@ class SweepJournal:
                 state.starts += 1
                 continue
             if kind != KIND_POINT:
-                continue  # foreign line (e.g. a bench record): not ours
+                continue  # foreign line: not ours
             if record.get("schema") != JOURNAL_SCHEMA:
                 state.corrupt += 1
                 continue
@@ -194,51 +237,3 @@ class SweepJournal:
             return pickle.loads(payload)
         except Exception:  # noqa: BLE001 — any defect means recompute
             return None
-
-
-class EventLog:
-    """Durable, seq-numbered service-event stream (DESIGN.md §5h).
-
-    The ``repro serve`` daemon appends one record per progress event
-    (point-running/done/failed, job-accepted, ...) on the same
-    O_APPEND single-write machinery as the journal, so a client that
-    disconnects — or a daemon that is killed and restarted — can resume
-    the stream from any sequence number instead of losing history.
-    Like every other log in this repo, loading is paranoid: torn,
-    foreign, or unnumbered lines are skipped, never fatal.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self.appended = 0
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Append one event record (must carry an int ``seq``)."""
-        append_jsonl(self.path, {"kind": KIND_EVENT,
-                                 "schema": JOURNAL_SCHEMA, **record})
-        self.appended += 1
-
-    def load(self) -> list:
-        """Every trustworthy event record, ordered by sequence number."""
-        out = []
-        for record in iter_jsonl(self.path):
-            if record.get("kind") != KIND_EVENT:
-                continue
-            if record.get("schema") != JOURNAL_SCHEMA:
-                continue
-            if not isinstance(record.get("seq"), int):
-                continue
-            record = dict(record)
-            record.pop("kind")
-            record.pop("schema")
-            out.append(record)
-        out.sort(key=lambda r: r["seq"])
-        return out
-
-    def last_seq(self) -> int:
-        """The highest recorded sequence number (0 for a fresh log)."""
-        events = self.load()
-        return events[-1]["seq"] if events else 0

@@ -33,6 +33,10 @@ heartbeat (once per point and once per simulated phase), so with a
 ``watchdog`` a single *hung* point is detected and its group killed and
 retried long before the whole per-group ``timeout`` burns down.
 
+State (DESIGN.md §5h): :func:`run_sweep` loads the points into a
+:class:`JobStore`, which tracks each point's state and persists its
+outcome, and :func:`schedule_jobs` computes the store's pending points.
+
 Durability (DESIGN.md §5g): pass ``journal=`` to append every completed
 or failed point to a torn-line-safe JSONL journal
 (:mod:`repro.eval.journal`) *the moment it lands* — a sweep SIGKILLed at
@@ -203,13 +207,12 @@ class SweepResults(Dict[SweepPoint, "SimResult"]):
     def to_dict(self, verbose: bool = False) -> Dict[str, Any]:
         """JSON-ready view, stable in the caller's point order.
 
-        Used by ``repro sweep --json``, the daemon's status/result
-        replies, and the resume bit-identity checks: two sweeps over the
-        same points are equivalent iff their ``to_dict()`` outputs are
-        equal.  Failure records carry the full point identity (scale,
-        seed, content key) so two failures of the same workload/mode at
-        different scales stay distinguishable; ``verbose=True`` adds the
-        clipped traceback.
+        Used by ``repro sweep --json`` and the resume bit-identity
+        checks: two sweeps over the same points are equivalent iff their
+        ``to_dict()`` outputs are equal.  Failure records carry the full
+        point identity (scale, seed, content key) so two failures of the
+        same workload/mode at different scales stay distinguishable;
+        ``verbose=True`` adds the clipped traceback.
         """
         failures = []
         for f in self.failures:
@@ -602,8 +605,190 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
     return outcomes
 
 
-def schedule_jobs(store: Any,
-                  keys: Optional[Iterable[str]] = None,
+#: Record states.
+PENDING = "pending"
+RUNNING = "running"
+DONE = "done"
+FAILED = "failed"
+
+#: Where a completed record's result came from (drives persistence).
+ORIGIN_COMPUTED = "computed"
+ORIGIN_CACHE = "cache"
+ORIGIN_JOURNAL = "journal"
+
+
+@dataclass
+class JobRecord:
+    """One point's lifecycle inside the store."""
+
+    point: SweepPoint
+    key: str
+    state: str = PENDING
+    result: Optional[SimResult] = None
+    failure: Optional[FailedPoint] = None
+    origin: Optional[str] = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in (DONE, FAILED)
+
+
+class JobStore:
+    """One sweep's point records: the state :func:`schedule_jobs` runs on.
+
+    One :class:`JobRecord` per distinct point (deduplicated by the same
+    content key as the result cache), moving ``pending → running →
+    done|failed``.  The store owns the side effects: it journals every
+    terminal transition the moment it happens and persists computed
+    results into the :class:`~repro.eval.result_cache.ResultCache`.
+    It is not a database — durability comes entirely from the journal
+    and cache it is backed by (:meth:`absorb_journal`,
+    :meth:`absorb_cache`).  Transitions and scans hold one re-entrant
+    lock.
+
+    Origins: every completed record remembers where its result came
+    from — ``computed`` (journaled *and* written to the result cache),
+    ``cache`` (journaled only: the cache already has it), or ``journal``
+    (neither: a resume replay must not re-append what it just read).
+    The resume bit-identity suites depend on exactly this persistence.
+    """
+
+    def __init__(self, journal: Optional[SweepJournal] = None,
+                 cache: Optional[ResultCache] = None) -> None:
+        self.journal = journal
+        self.cache = cache
+        self.lock = threading.RLock()
+        self._records: Dict[str, JobRecord] = {}  # insertion-ordered
+
+    def add(self, point: SweepPoint) -> JobRecord:
+        """Register a point; idempotent — an existing record wins.
+
+        Identity is the content key, so two :class:`SweepPoint`\\ s that
+        hash the same config share one record.
+        """
+        key = point.key()
+        with self.lock:
+            record = self._records.get(key)
+            if record is None:
+                record = JobRecord(point=point, key=key)
+                self._records[key] = record
+            return record
+
+    def record(self, key: str) -> JobRecord:
+        return self._records[key]
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def state(self, key: str) -> Optional[str]:
+        record = self._records.get(key)
+        return record.state if record is not None else None
+
+    def pending_points(self) -> List[SweepPoint]:
+        """Pending points in insertion order."""
+        with self.lock:
+            return [r.point for r in self._records.values()
+                    if r.state == PENDING]
+
+    def mark_running(self, key: str) -> None:
+        with self.lock:
+            record = self._records[key]
+            if not record.terminal:
+                record.state = RUNNING
+
+    def mark_done(self, key: str, result: SimResult,
+                  origin: str = ORIGIN_COMPUTED) -> None:
+        """Land one completed point; persistence follows the origin.
+
+        ``computed`` results are journaled and cached; ``cache`` hits
+        are journaled only (so a later resume needs neither the cache
+        nor a recompute); ``journal`` replays touch nothing — they *are*
+        the journal.
+        """
+        with self.lock:
+            record = self._records[key]
+            record.state = DONE
+            record.result = result
+            record.failure = None
+            record.origin = origin
+            if origin == ORIGIN_COMPUTED and self.cache is not None:
+                self.cache.store(key, result)
+            if origin != ORIGIN_JOURNAL and self.journal is not None:
+                self.journal.record_ok(record.point, result)
+
+    def mark_failed(self, failure: FailedPoint) -> None:
+        key = failure.point.key()
+        with self.lock:
+            record = self._records[key]
+            record.state = FAILED
+            record.failure = failure
+            record.origin = None
+            if self.journal is not None:
+                self.journal.record_failure(failure)
+
+    def absorb_journal(self) -> int:
+        """Satisfy pending records from the journal replay; returns hits.
+
+        Journaled failures are deliberately *not* adopted: a failure
+        record is provisional, and resuming re-attempts the point.
+        """
+        from repro.sim.results import SimResult
+
+        if self.journal is None or not self.journal.exists():
+            return 0
+        state = self.journal.load()
+        hits = 0
+        with self.lock:
+            for record in self._records.values():
+                if record.state != PENDING:
+                    continue
+                hit = state.completed.get(record.key)
+                if isinstance(hit, SimResult):
+                    self.mark_done(record.key, hit, origin=ORIGIN_JOURNAL)
+                    hits += 1
+        return hits
+
+    def absorb_cache(self) -> int:
+        """Satisfy pending records from the result cache; returns hits."""
+        from repro.sim.results import SimResult
+
+        if self.cache is None:
+            return 0
+        hits = 0
+        with self.lock:
+            for record in list(self._records.values()):
+                if record.state != PENDING:
+                    continue
+                hit = self.cache.lookup(record.key)
+                if isinstance(hit, SimResult):
+                    self.mark_done(record.key, hit, origin=ORIGIN_CACHE)
+                    hits += 1
+        return hits
+
+    def results_for(self, points: Iterable[SweepPoint]) -> SweepResults:
+        """The :class:`SweepResults` view of the given points, in order.
+
+        Completed points map to their results; failed points contribute
+        their :class:`FailedPoint` (also in caller order, so
+        ``to_dict()`` is deterministic).  ``resumed`` counts the
+        requested points satisfied from a journal replay.
+        """
+        results = SweepResults()
+        with self.lock:
+            for point in points:
+                record = self._records.get(point.key())
+                if record is None:
+                    continue
+                if record.state == DONE:
+                    results[point] = record.result
+                    if record.origin == ORIGIN_JOURNAL:
+                        results.resumed += 1
+                elif record.state == FAILED and record.failure is not None:
+                    results.failures.append(record.failure)
+        return results
+
+
+def schedule_jobs(store: JobStore,
                   jobs: Optional[int] = None,
                   timeout: Optional[float] = None,
                   retries: int = 2,
@@ -611,17 +796,13 @@ def schedule_jobs(store: Any,
                   watchdog: Optional[float] = None) -> int:
     """Compute every pending point of a job store; returns how many ran.
 
-    This is the one scheduler engine behind every frontend —
-    :func:`run_sweep`, ``repro sweep``, and the ``repro serve`` daemon
-    (DESIGN.md §5h).  ``store`` is a
-    :class:`~repro.eval.service.jobstore.JobStore` (anything with the
-    same surface works); the scheduler pulls its pending points
-    (restricted to ``keys`` when given), groups them by functional key
-    so every mode/knob of one (workload, scale, seed, config) shares a
-    single functional trace, and dispatches the groups.  Completed and
-    failed points are folded back into the store the moment they land —
-    the store persists them (journal, result cache) and notifies its
-    listeners, so progress is durable and observable mid-flight.
+    The scheduler behind :func:`run_sweep` (DESIGN.md §5h): it pulls the
+    store's pending points, groups them by functional key so every
+    mode/knob of one (workload, scale, seed, config) shares a single
+    functional trace, and dispatches the groups.  Completed and failed
+    points are folded back into the store the moment they land, and the
+    store persists them (journal, result cache), so progress is durable
+    mid-flight.
 
     Whenever a ``timeout`` or ``watchdog`` is armed the groups run on a
     worker pool even for ``jobs=1`` or a single group, so the
@@ -630,7 +811,7 @@ def schedule_jobs(store: Any,
     bare ``jobs=1``-and-unguarded case stays inline (no fork overhead,
     and in-process monkeypatching keeps working for tests).
     """
-    todo = store.pending_points(keys)
+    todo = store.pending_points()
     if not todo:
         return 0
     groups: Dict[_GroupKey, List[SweepPoint]] = {}
@@ -735,19 +916,11 @@ def run_sweep(points: Iterable[SweepPoint],
     and failures are described on ``.failures``.  Call
     :meth:`SweepResults.raise_on_failure` for the old strict behavior.
 
-    Since the sweep-service refactor this is a thin compatibility
-    wrapper: it loads a :class:`~repro.eval.service.jobstore.JobStore`
-    with the deduplicated points, satisfies what it can from the journal
-    (``resume=True``) and the result cache, hands the rest to
-    :func:`schedule_jobs` — the same engine the ``repro serve`` daemon
-    drives — and reads the :class:`SweepResults` back out of the store.
-    Results are bit-identical to the pre-refactor harness.
+    It loads a :class:`JobStore` with the deduplicated points, satisfies
+    what it can from the journal (``resume=True``) and the result cache,
+    hands the rest to :func:`schedule_jobs`, and reads the
+    :class:`SweepResults` back out of the store.
     """
-    # Imported lazily: the jobstore module imports this module's
-    # dataclasses at import time, so the dependency must stay one-way
-    # at module load.
-    from repro.eval.service.jobstore import JobStore
-
     ordered: List[SweepPoint] = []
     seen = set()
     for point in points:

@@ -113,81 +113,3 @@ def export_chrome_trace(events: List[TraceEvent], path: str,
     with open(path, "w") as fh:
         json.dump(payload, fh)
     return len(records)
-
-
-def service_timeline_events(records: List[Dict[str, Any]],
-                            pid: int = 1) -> List[Dict[str, Any]]:
-    """Render a sweep-service event stream as trace-event dicts.
-
-    ``records`` are the seq-numbered events a ``repro serve`` daemon
-    publishes (``point-running`` / ``point-done`` / ``point-failed`` /
-    ``job-accepted`` / ``daemon-start`` / ...), as loaded from an
-    :class:`~repro.eval.journal.EventLog` or collected by a client.
-    Each distinct point becomes one "thread" named ``workload/mode``;
-    its running→terminal interval becomes a complete ("X") span, and
-    job/daemon events become instants on tid 0.  Wall-clock seconds map
-    onto the viewer's microseconds, relative to the first event.
-    """
-    out: List[Dict[str, Any]] = []
-    if not records:
-        return out
-    epoch = min(r.get("ts", 0.0) for r in records)
-
-    def rel(record: Dict[str, Any]) -> float:
-        return (record.get("ts", epoch) - epoch) * 1e6
-
-    tids: Dict[str, int] = {}
-    started: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        event = record.get("event")
-        key = record.get("key")
-        if key is None:
-            out.append({"ph": "i", "s": "g", "pid": pid, "tid": 0,
-                        "ts": rel(record), "cat": "service",
-                        "name": str(event),
-                        "args": _jsonable({k: v for k, v in record.items()
-                                           if k not in ("ts", "event")})})
-            continue
-        if key not in tids:
-            tids[key] = len(tids) + 1
-            out.append({"ph": "M", "pid": pid, "tid": tids[key],
-                        "name": "thread_name",
-                        "args": {"name": f"{record.get('workload')}/"
-                                         f"{record.get('mode')}"}})
-        tid = tids[key]
-        if event == "point-running":
-            started[key] = record
-        elif event in ("point-done", "point-failed"):
-            begin = started.pop(key, None)
-            start = rel(begin) if begin is not None else rel(record)
-            args = {"key": key, "seed": record.get("seed"),
-                    "scale": record.get("scale")}
-            if event == "point-done":
-                args["origin"] = record.get("origin")
-            else:
-                args.update({"stage": record.get("stage"),
-                             "error": record.get("error"),
-                             "attempts": record.get("attempts")})
-            out.append({"ph": "X", "pid": pid, "tid": tid, "ts": start,
-                        "dur": max(rel(record) - start, 0.0),
-                        "cat": "service",
-                        "name": ("run" if event == "point-done"
-                                 else "fail"),
-                        "args": _jsonable(args)})
-    return out
-
-
-def export_service_timeline(records: List[Dict[str, Any]],
-                            path: str) -> int:
-    """Write a sweep-service timeline loadable by chrome://tracing.
-
-    Returns the number of trace-event records written.
-    """
-    trace = [
-        {"ph": "M", "pid": 1, "name": "process_name",
-         "args": {"name": "repro serve"}},
-        *service_timeline_events(records),
-    ]
-    with open(path, "w") as fh:
-        json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, fh)
-    return len(trace)

@@ -100,9 +100,9 @@ def load_or_record(name: str, scale: float, seed: int,
             # Taken before the read: an entry rewritten in between costs
             # one more lookup later, never a stale reuse.
             identity = cache.entry_identity(key)
-            # One read of an immutable tuple: sweep-service threads share
-            # the memo, and however they interleave, a match is a trace
-            # its entry served.
+            # One read of an immutable tuple: threads of one process
+            # share the memo, and however they interleave, a match is a
+            # trace its entry served.
             memo = _last_loaded
             if memo is not None and memo[:3] == (cache.root, key, identity):
                 cache.hits += 1

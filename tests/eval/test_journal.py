@@ -117,8 +117,11 @@ def test_foreign_and_unknown_lines(tmp_path):
     journal = SweepJournal(path)
     journal.record_ok(_point(), "v")
     with open(path, "a") as fh:
-        # a bench-log record sharing the file: skipped silently
+        # a foreign record sharing the file: skipped silently
         fh.write(json.dumps({"kind": "sweep", "seconds": 1.2}) + "\n")
+        # JSON that is not an object, and plain text: skipped silently
+        fh.write("[1, 2, 3]\n")
+        fh.write("plain text garbage\n")
         # a point record with an unknown status: counted corrupt
         fh.write(json.dumps({"kind": KIND_POINT,
                              "schema": JOURNAL_SCHEMA, "key": "k2",
@@ -131,4 +134,71 @@ def test_foreign_and_unknown_lines(tmp_path):
 def test_missing_journal_loads_empty(tmp_path):
     state = SweepJournal(tmp_path / "absent.jsonl").load()
     assert len(state) == 0
+    assert state.corrupt == 0
+
+
+def test_concurrent_appenders_never_tear_a_line(tmp_path):
+    """Many threads appending to one journal: every record lands intact."""
+    import threading
+
+    path = tmp_path / "j.jsonl"
+    n_threads, per_thread = 8, 25
+    points = {(t, i): SweepPoint("histogram", ExecMode.NS,
+                                 SystemConfig.ooo8(), scale=1.0 / 256.0,
+                                 seed=t * per_thread + i)
+              for t in range(n_threads) for i in range(per_thread)}
+    for point in points.values():
+        point.key()  # hash the config before the race, not during it
+
+    def writer(tid):
+        journal = SweepJournal(path)
+        for i in range(per_thread):
+            journal.record_ok(points[tid, i], {"pad": "x" * 200, "i": i})
+
+    threads = [threading.Thread(target=writer, args=(t,))
+               for t in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+    state = SweepJournal(path).load()
+    assert state.corrupt == 0
+    assert state.completed == {p.key(): {"pad": "x" * 200, "i": i}
+                               for (_, i), p in points.items()}
+
+
+def test_truncated_multibyte_tail_is_skipped(tmp_path):
+    """A writer killed mid-UTF-8-sequence loses one line, not the file."""
+    path = tmp_path / "j.jsonl"
+    journal = SweepJournal(path)
+    first, failed, last = (_point(mode=m) for m in (
+        ExecMode.BASE, ExecMode.NS, ExecMode.INST))
+    journal.record_ok(first, "first")
+    line = json.dumps({"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
+                       "status": "error", "key": failed.key(),
+                       "message": "snow\u2603man"},
+                      ensure_ascii=False).encode() + b"\n"
+    with open(path, "ab") as fh:
+        fh.write(line)           # intact non-ASCII record
+    journal.record_ok(last, "last")
+    with open(path, "ab") as fh:
+        fh.write(line[:-8])      # torn tail, cut inside the 3-byte rune
+
+    state = journal.load()
+    assert state.completed == {first.key(): "first", last.key(): "last"}
+    assert state.failed[failed.key()]["message"] == "snow\u2603man"
+    assert state.corrupt == 0
+
+
+def test_raw_invalid_utf8_line_is_skipped(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = SweepJournal(path)
+    before, after = _point(mode=ExecMode.BASE), _point(mode=ExecMode.NS)
+    journal.record_ok(before, "before")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe garbage bytes \x80\n")
+    journal.record_ok(after, "after")
+    state = journal.load()
+    assert state.completed == {before.key(): "before", after.key(): "after"}
     assert state.corrupt == 0

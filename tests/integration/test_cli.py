@@ -104,16 +104,6 @@ def test_trace_command(tmp_path, capsys):
     assert payload["traceEvents"]
 
 
-def test_trace_records_benchlog(tmp_path, monkeypatch):
-    from repro.eval.benchlog import read_records
-    log = tmp_path / "bench.json"
-    monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
-    assert main(["trace", "memset", *SMALL]) == 0
-    records = [r for r in read_records(log) if r["kind"] == "trace"]
-    assert records and records[-1]["violations"] == 0
-    assert records[-1]["events"] > 0 and records[-1]["checks"] > 0
-
-
 def test_compile(capsys):
     assert main(["compile", "sssp", *SMALL]) == 0
     out = capsys.readouterr().out

@@ -240,8 +240,8 @@ def test_recorded_and_uncached_traces_are_not_remembered(store):
 
 
 def test_threads_sharing_the_memo_get_their_own_key(store):
-    """Sweep-service jobs run groups in threads of one process: however
-    their loads interleave, each call returns the trace of its own key."""
+    """Threads of one process share the memo: however their loads
+    interleave, each call returns the trace of its own key."""
     names = ("memset", "vecsum")
     for name in names:
         run_workload(name, scale=SCALE)           # store both traces
