@@ -6,7 +6,7 @@ import pickle
 
 from repro.config import SystemConfig
 from repro.eval.journal import (JOURNAL_SCHEMA, KIND_POINT, STATUS_OK,
-                                SweepJournal)
+                                SweepJournal, append_jsonl, iter_jsonl)
 from repro.eval.sweep import FailedPoint, SweepPoint
 from repro.offload.modes import ExecMode
 
@@ -135,6 +135,28 @@ def test_missing_journal_loads_empty(tmp_path):
     state = SweepJournal(tmp_path / "absent.jsonl").load()
     assert len(state) == 0
     assert state.corrupt == 0
+
+
+def test_iter_jsonl_missing_file_yields_nothing(tmp_path):
+    assert list(iter_jsonl(tmp_path / "absent.jsonl")) == []
+
+
+def test_iter_jsonl_skips_torn_and_foreign_lines(tmp_path):
+    """Only JSON objects come back; the ``kind`` filter is the reader's."""
+    path = tmp_path / "torn.jsonl"
+    append_jsonl(path, {"kind": "sweep", "seconds": 1.0})
+    with open(path, "a") as fh:
+        fh.write('{"kind": "profile", "truncat')  # torn mid-record
+        fh.write("\n")
+        fh.write("[1, 2, 3]\n")                   # JSON but not an object
+        fh.write('{"no_kind": true}\n')           # an object all the same
+        fh.write("plain text garbage\n")
+    append_jsonl(path, {"kind": "profile", "seconds": 2.0})
+    assert list(iter_jsonl(path)) == [
+        {"kind": "sweep", "seconds": 1.0},
+        {"no_kind": True},
+        {"kind": "profile", "seconds": 2.0},
+    ]
 
 
 def test_concurrent_appenders_never_tear_a_line(tmp_path):
