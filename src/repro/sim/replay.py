@@ -22,13 +22,15 @@ scalar-oracle suites (``tests/oracles``).
 Persistence rides the same checksummed-envelope, content-addressed store
 as simulation results (:mod:`repro.workloads.build_cache` holds the
 cache plumbing and the key derivation): one entry per workload and
-address layout holds the trace and its derived stream geometry.  A
-corrupt or stale entry quarantines and degrades to a fresh build and
-record, never a crash.
+address layout holds the trace, its derived stream geometry and the
+sampled cache walks of the runs made before it was stored.  A corrupt or
+stale entry quarantines and degrades to a fresh build and record, never
+a crash.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,8 +52,13 @@ from repro.workloads.base import Phase, StreamTraceData, Workload
 #: and ``lines`` are pickled per stream slice as a first value plus
 #: narrow deltas (:func:`pack_slices`).  4: each phase's packed geometry
 #: also holds its completed stream-pair entries
-#: (:class:`~repro.sim.tracestats.PairGeometry`).
-REPLAY_SCHEMA = 4
+#: (:class:`~repro.sim.tracestats.PairGeometry`).  5: the trace keeps the
+#: level counts of every sampled cache walk made before it was stored
+#: (``FunctionalTrace._levels``).  Those counts depend on the cache
+#: model as well: a change to its semantics bumps
+#: :data:`~repro.eval.result_cache.CACHE_SCHEMA`, which turns every
+#: envelope of an older schema, replay entries included, into a miss.
+REPLAY_SCHEMA = 5
 
 _NO_SLICE = (-1, -1)
 
@@ -251,6 +258,30 @@ class PhaseTrace:
             barriers=self.barriers,
         )
 
+    def fits_walk(self, paths: tuple, counts: dict, sampled: bool
+                  ) -> bool:
+        """True when ``counts`` can be this phase's per-stream (l1, l2,
+        l3, dram) counts from a sampled cache walk with stream ``paths``
+        (:meth:`~repro.sim.phase.PhaseEngine.cache_paths`, one per graph
+        stream).  The walk counts every stream that has a path and a
+        non-empty trace, each with four finite, non-negative floats: the
+        first sampled core is core 0, whose slice of a non-empty trace is
+        never empty.  With no core ``sampled`` it counts none."""
+        graph = self.program.graph
+        if not isinstance(paths, tuple) or len(paths) != len(graph) \
+                or not isinstance(counts, dict):
+            return False
+        steps = {name: s1 - s0
+                 for name, (s0, s1) in zip(self.names, self.vaddr_slices)}
+        walked = {stream.name for stream, path in zip(graph, paths)
+                  if sampled and path is not None
+                  and steps.get(stream.name, 0) > 0}
+        return counts.keys() == walked and all(
+            isinstance(c, tuple) and len(c) == 4
+            and all(isinstance(v, float) and 0.0 <= v < math.inf
+                    for v in c)
+            for c in counts.values())
+
     @property
     def nbytes(self) -> int:
         return (self.vaddrs.nbytes + self.modifies.nbytes
@@ -406,7 +437,10 @@ class FunctionalTrace:
     stats and the stream-pair entries of the phase's
     :class:`~repro.sim.tracestats.PairGeometry`.  Geometry is pure in
     (trace, layout), so it travels inside the same store entry and
-    serves every config sharing the layout.
+    serves every config sharing the layout.  So do the level counts of
+    the sampled cache walks made before the entry was written
+    (``_levels``), which serve every run with the same cache shape and
+    stream paths.
     """
 
     schema: int
@@ -416,12 +450,14 @@ class FunctionalTrace:
     space: AddressSpace
     phases: List[PhaseTrace]
     stats: Optional[List[PhaseStatsPack]] = None
-    # Per-process memos shared by every replay of this object, never
-    # persisted: each phase's PairGeometry (its stats and the pair
-    # entries asked for so far; all mode-independent), and each run's raw
-    # per-stream level counts of the sampled cache walk, one dict per
-    # phase, keyed by what the walk reads besides this trace
-    # (:func:`repro.sim.run.run_workload`).  Not init fields, so a
+    # Memos shared by every replay of this object: each phase's
+    # PairGeometry (its stats and the pair entries asked for so far; all
+    # mode-independent), per process, and each run's raw per-stream level
+    # counts of the sampled cache walk, one dict per phase, keyed by what
+    # the walk reads besides this trace (:func:`repro.sim.run.
+    # run_workload`: ``Machine.cache_shape``, whose first item is the
+    # sampled-core count, and every phase's stream paths).  The walks
+    # travel with the pickled trace.  Not init fields, so a
     # ``dataclasses.replace`` copy, whose phases may differ, starts empty.
     _geometry: Dict[int, PairGeometry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -429,16 +465,49 @@ class FunctionalTrace:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # The memos are per process: a stored entry holds the trace and
-        # its packed geometry alone.
+        # The geometry memo is per process; its entries travel packed in
+        # ``stats``.  A walk's list stays empty while its run is under way
+        # (or after the run raised), and only finished walks are stored.
         state = dict(self.__dict__)
-        del state["_geometry"], state["_levels"]
+        del state["_geometry"]
+        state["_levels"] = {key: walk for key, walk in self._levels.items()
+                            if walk}
         return state
 
     def __setstate__(self, state):
+        levels = state.pop("_levels", {})
         self.__dict__.update(state)
         self._geometry = {}
         self._levels = {}
+        if self._walks_fit(levels):
+            self._levels.update(levels)
+        else:
+            # A missing stream would read as a default rate, so a stored
+            # walk that does not fit is refused outright.  Dropping the
+            # pack as well makes the next run recompute it, so
+            # save_trace rewrites the entry once, without the bad walk.
+            self.stats = None
+
+    def _walks_fit(self, levels) -> bool:
+        """True when every stored walk in ``levels`` is one dict per
+        phase that :meth:`PhaseTrace.fits_walk` accepts under its key's
+        stream paths."""
+        if not isinstance(levels, dict):
+            return False
+        for key, walk in levels.items():
+            try:
+                shape, paths = key
+                sampled = shape[0] > 0
+            except (TypeError, ValueError, IndexError):
+                return False
+            if not isinstance(paths, tuple) or not isinstance(walk, list) \
+                    or not len(paths) == len(walk) == len(self.phases):
+                return False
+            if not all(pt.fits_walk(phase_paths, counts, sampled)
+                       for pt, phase_paths, counts
+                       in zip(self.phases, paths, walk)):
+                return False
+        return True
 
     @property
     def layout(self) -> AddressLayout:
@@ -488,8 +557,9 @@ class FunctionalTrace:
     def level_counts(self, key: tuple
                      ) -> List[Dict[str, Tuple[float, ...]]]:
         """The per-phase level counts of the cache walk a run with walk
-        key ``key`` made; an empty list, which that run fills in, when no
-        run has made it yet."""
+        key ``key`` made, in this process or before the trace was stored;
+        an empty list, which that run fills in, when no run has made it
+        yet."""
         return self._levels.setdefault(key, [])
 
     def pack_stats(self) -> bool:

@@ -52,8 +52,9 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     Workloads named by string replay the stored functional trace of
     their address layout (:mod:`repro.workloads.build_cache`): one store
     entry per (workload, scale, seed, ``config.layout``) holds the
-    compiled programs, the packed stream traces and the derived stream
-    geometry, stream pairs included.  A hit skips the build
+    compiled programs, the packed stream traces, the derived stream
+    geometry, stream pairs included, and the sampled cache walks of the
+    runs made before it was stored.  A hit skips the build
     (``run.replay``) and reads its geometry from the entry; a miss
     builds and records one (``run.build``, ``run.record``) and stores it
     after the run has derived its geometry and completed every pair any
@@ -179,7 +180,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     # The sampled cache walk reads nothing of the run but the trace, the
     # machine's cache shape and each phase's stream paths. A phase leaves
     # the caches warm for the next, so the key spans every phase and a
-    # run either reuses all of an earlier run's counts or walks afresh.
+    # run either reuses all of an earlier run's counts (made in this
+    # process or stored with the trace) or walks afresh.
     level_counts = None
     if trace is not None:
         level_counts = trace.level_counts(

@@ -210,23 +210,35 @@ def forward_hops(src: StreamStats, dst: StreamStats,
 
 
 def shares_lines_with_other_load(program: StreamProgram, stream: Stream,
-                                 phase: Phase) -> bool:
+                                 phase: Phase,
+                                 prefix_lines: Optional[Dict[str, set]] = None
+                                 ) -> bool:
     """True when another load stream touches mostly the same cache lines
-    as ``stream`` (sampled on a prefix of the traces)."""
-    mine = phase.traces.get(stream.name)
-    if mine is None or mine.steps == 0:
+    as ``stream`` (sampled on a prefix of the traces).  ``prefix_lines``
+    keeps each stream's sampled line set by name across calls on one
+    phase, so testing all its loads builds each set once."""
+    if prefix_lines is None:
+        prefix_lines = {}
+
+    def sampled(name: str) -> set:
+        lines = prefix_lines.get(name)
+        if lines is None:
+            trace = phase.traces.get(name)
+            lines = prefix_lines[name] = (
+                set((trace.vaddrs[:4096] >> 6).tolist())
+                if trace is not None else set())
+        return lines
+
+    my_lines = sampled(stream.name)
+    if not my_lines:
         return False
-    my_lines = set((mine.vaddrs[:4096] >> 6).tolist())
     for other in program.graph:
         if other.sid == stream.sid \
                 or other.compute is not ComputeKind.LOAD:
             continue
-        trace = phase.traces.get(other.name)
-        if trace is None or trace.steps == 0:
-            continue
-        lines = set((trace.vaddrs[:4096] >> 6).tolist())
-        overlap = len(my_lines & lines)
-        if overlap > 0.5 * min(len(my_lines), len(lines)):
+        lines = sampled(other.name)
+        if lines and len(my_lines & lines) \
+                > 0.5 * min(len(my_lines), len(lines)):
             return True
     return False
 
@@ -267,6 +279,8 @@ class PairGeometry:
         self.mesh = mesh
         self.hmat = hops_matrix(mesh)
         self.entries: Dict[tuple, object] = {}
+        # Each stream's line set the overlap test samples, built once.
+        self._prefix_lines: Dict[str, set] = {}
         for key, value in (entries or {}).items():
             self._check(key, value)
             self.entries[key] = value
@@ -316,7 +330,7 @@ class PairGeometry:
         """:func:`shares_lines_with_other_load` for ``stream``."""
         return self._get(("overlap", stream.sid),
                          shares_lines_with_other_load, self.program,
-                         stream, self.phase)
+                         stream, self.phase, self._prefix_lines)
 
     # ------------------------------------------------------------------
     def _forwards(self, consumer: Stream) -> Tuple[Tuple[int, float], ...]:

@@ -8,7 +8,8 @@ address layout).  The layout (:attr:`SystemConfig.layout
 is all of the machine config that can move an address, so one recorded
 :class:`~repro.sim.replay.FunctionalTrace` serves every mode, timing
 knob, SE knob and fault plan on that layout.  Its derived stream
-geometry is pure in the same inputs and travels inside the same entry.
+geometry is pure in the same inputs and travels inside the same entry,
+as do the sampled cache walks of the runs made before it was written.
 
 Entries live in the same ``.repro_cache/`` store as simulation results
 (:mod:`repro.eval.result_cache`, envelope kind ``"replay"``), under keys
@@ -132,7 +133,10 @@ def save_trace(trace, cache: Optional[ResultCache],
     completes each phase's stream-pair geometry for every mode); only
     then is the entry written (stage ``run.store``, completion
     included), so a warm trace writes nothing and a run on the entry
-    computes no pair geometry.  Failures degrade: an unpicklable trace
+    computes no pair geometry.  The entry also keeps every sampled cache
+    walk the trace's runs have finished by then (the recording run's, or
+    every point of a sweep group); walks made later stay in memory, so
+    the entry is written once.  Failures degrade: an unpicklable trace
     and one over ``$REPRO_CACHE_MAX_MB`` warn once per call; a write the
     filesystem refused (ENOSPC, EACCES, chaos injection) is already
     counted by the store (``cache.write_errors``) and stays silent — an

@@ -99,15 +99,19 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
     the re-sweep rebuilds.  ``stats``: a well-formed entry whose packed
     geometry no longer describes the trace — first its stream names,
     then one stream-pair entry — makes the re-sweep recompute the
-    geometry.  Each damage is bit-identical to the first sweep, rewrites
-    the entry once, and the sweep after that replays the stored geometry
-    without recomputing it."""
+    geometry; one whose stored cache walk does not fit the trace — a
+    stream name missing, a count of the wrong type, one dict fewer than
+    the phases — makes it walk and recompute the geometry.  Each damage
+    is bit-identical to the first sweep, rewrites the entry once, and
+    the sweep after that replays the stored geometry and walk without
+    recomputing either."""
     import dataclasses
 
     from repro.config import SystemConfig
     from repro.eval.sweep import SweepPoint, run_sweep
     from repro.offload.modes import ExecMode
     from repro.sim import replay
+    from repro.sim.phase import PhaseEngine
     from repro.sim.tracestats import PairGeometry
     from repro.workloads.build_cache import trace_key
 
@@ -139,6 +143,36 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
         repack(lambda p: dataclasses.replace(
             p, pairs={**p.pairs, ("hops", "bogus", p.names[0]): 1.0}))
 
+    class Stored:
+        """Pickles as a trace with ``state`` as given: the trace's own
+        ``__getstate__`` would drop a walk with no dict left."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def __reduce__(self):
+            return object.__new__, (replay.FunctionalTrace,), self.state
+
+    def rewalk(damage):
+        state = cache.lookup(key).__getstate__()
+        assert state["_levels"]
+        state["_levels"] = {walk_key: damage(walk)
+                            for walk_key, walk in state["_levels"].items()}
+        assert cache.store(key, Stored(state), kind=KIND_REPLAY)
+
+    def missing_stream():
+        rewalk(lambda walk: [dict(list(walk[0].items())[1:]), *walk[1:]])
+
+    def mistyped_count():
+        def damage(walk):
+            name, counts = next(iter(walk[0].items()))
+            return [{**walk[0], name: (*counts[:3], str(counts[3]))},
+                    *walk[1:]]
+        rewalk(damage)
+
+    def phase_missing():
+        rewalk(lambda walk: walk[:-1])
+
     def drop_results():
         # so a re-sweep exercises the trace entry instead of
         # short-circuiting on cached results
@@ -148,9 +182,10 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
                     == "result":
                 entry.unlink()
 
-    computed, pairs = [], []
+    computed, pairs, walks = [], [], []
     compute = replay.compute_phase_stats
     get = PairGeometry._get
+    walk = PhaseEngine._walk_caches
 
     def counting(*args, **kwargs):
         computed.append(1)
@@ -161,13 +196,19 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
             pairs.append(pair_key)
         return get(self, pair_key, *args)
 
+    def counting_walk(self):
+        walks.append(1)
+        return walk(self)
+
     monkeypatch.setattr(replay, "compute_phase_stats", counting)
     monkeypatch.setattr(PairGeometry, "_get", counting_get)
+    monkeypatch.setattr(PhaseEngine, "_walk_caches", counting_walk)
+    damaged_walks = [missing_stream, mistyped_count, phase_missing]
     damages = ([flip_bytes] if kind_label == "replay"
-               else [rename_streams, bogus_pair])
+               else [rename_streams, bogus_pair, *damaged_walks])
     for damage in damages:
         damage()
-        del computed[:], pairs[:]
+        del computed[:], pairs[:], walks[:]
         drop_results()
         before = cache.entry_identity(key)
         fresh = ResultCache(tmp_path)
@@ -180,8 +221,11 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
         quarantined = list(fresh.quarantine_root.glob("*.pkl"))
         assert len(quarantined) == (1 if kind_label == "replay" else 0)
         # one recompute and one rewrite: the entry now carries geometry
-        # for its phases, pairs included
+        # for its phases, pairs included, and the one point's walk; a
+        # stored walk that fits serves the re-sweep
         assert len(computed) == n_phases and pairs
+        walked = kind_label == "replay" or damage in damaged_walks
+        assert len(walks) == (n_phases if walked else 0)
         rewritten_at = cache.entry_identity(key)
         assert rewritten_at != before
         rewritten = ResultCache(tmp_path).lookup(key)
@@ -189,13 +233,14 @@ def test_corrupt_replay_and_stats_entries_recompute_identically(
             == [p.names for p in rewritten.phases]
         assert all(p.pairs and all(k[1] != "bogus" for k in p.pairs)
                    for p in rewritten.stats)
+        assert len(rewritten._levels) == 1
 
         drop_results()
-        del pairs[:]
+        del pairs[:], walks[:]
         again = run_sweep([point], jobs=1, cache=ResultCache(tmp_path))
         assert again[point].to_dict() == first.to_dict()
         assert len(computed) == n_phases  # the packed geometry served it
-        assert pairs == []
+        assert pairs == [] and walks == []  # and the stored walk
         assert cache.entry_identity(key) == rewritten_at
 
 

@@ -102,18 +102,23 @@ def test_uncached_base_run_computes_no_pair_geometry(cache_dir, computed):
     assert computed == []
 
 
-def test_stored_entry_carries_pairs_and_no_level_counts(cache_dir):
+def test_stored_entry_carries_pairs_and_the_recording_walk(cache_dir):
     """The cold run that writes the entry has walked the caches and
-    asked for pairs; the entry holds the completed pairs, not the walk."""
+    asked for pairs; the entry holds the completed pairs and that run's
+    walk, one dict per phase, but not the per-process geometry memo."""
     config = SystemConfig.ooo8()
     run_workload("hotspot", ExecMode.NS, config=config, scale=SCALE)
     cache = result_cache.get_default_cache()
     key = trace_key("hotspot", SCALE, 42, config)
     payload = ResultCache._payload(cache._path(key).read_bytes())
-    assert b"_levels" not in payload and b"_geometry" not in payload
+    assert b"_geometry" not in payload
     trace = pickle.loads(payload)
     assert trace.stats and all(pack.pairs for pack in trace.stats)
-    assert trace._levels == {} and trace._geometry == {}
+    assert trace._geometry == {}
+    ((shape, paths), walk), = trace._levels.items()
+    assert shape == Machine.build(config, data_scale=SCALE).cache_shape
+    assert len(paths) == len(walk) == len(trace.phases)
+    assert all(walk)
 
 
 def test_damaged_pair_entry_is_refused(cache_dir):
