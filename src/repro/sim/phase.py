@@ -295,8 +295,8 @@ class PhaseEngine:
             if trace is None or trace.steps == 0:
                 continue
             sl = trace.slice_for(core, self.n_cores)
-            vaddrs = trace.vaddrs[sl]
-            if len(vaddrs) == 0:
+            steps = sl.stop - sl.start
+            if steps == 0:
                 continue
             # Stream stats already hold the whole trace's physical lines;
             # translation is elementwise, so slicing them is bit-identical
@@ -305,7 +305,7 @@ class PhaseEngine:
             if st is not None and st.elements == trace.steps:
                 lines = st.lines[sl]
             else:
-                lines = self.space.translate(vaddrs) >> LINE_SHIFT
+                lines = self.space.translate(trace.vaddrs[sl]) >> LINE_SHIFT
             if path == "l3":
                 # SE_L3 fetches each line once, straight from L3.
                 keep = np.concatenate(([True], lines[1:] != lines[:-1]))
@@ -314,7 +314,7 @@ class PhaseEngine:
                                np.full(len(dedup), trace.is_write)))
                 continue
             skip_l1 = path == "l2"
-            stride = total_iters / len(vaddrs)
+            stride = total_iters / steps
             k = np.arange(len(lines), dtype=np.float64)
             if skip_l1:
                 # SE_core fetches each line once into the FIFO.

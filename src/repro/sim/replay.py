@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +45,8 @@ from repro.mem.locks import LockAnalysis
 from repro.sim.tracestats import (PairGeometry, StreamStats,
                                   banks_of_lines, compute_phase_stats,
                                   core_of_elements, hops_matrix)
-from repro.workloads.base import Phase, StreamTraceData, Workload
+from repro.workloads.base import (Deferred, DeferredArray, Phase,
+                                  StreamTraceData, Workload)
 
 #: Bump when the FunctionalTrace layout or reconstruction semantics
 #: change in a way that invalidates stored traces.  2: keyed on the
@@ -67,6 +69,9 @@ _NO_SLICE = (-1, -1)
 _DELTA_DTYPES = tuple((np.dtype(t), int(np.iinfo(t).min),
                        int(np.iinfo(t).max))
                       for t in (np.int8, np.int16, np.int32, np.int64))
+
+_DELTA_WIDTHS = tuple(t for t, _, _ in _DELTA_DTYPES)
+_INT64_MIN, _INT64_MAX = _DELTA_DTYPES[-1][1:]
 
 _NO_DELTAS = np.zeros(0, dtype=np.int8)
 
@@ -107,33 +112,112 @@ def pack_slices(values: np.ndarray, slices: Sequence[Tuple[int, int]]
     return parts
 
 
-def unpack_slices(parts: Sequence[Tuple[int, np.ndarray]],
-                  slices: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Rebuild the contiguous int64 array :func:`pack_slices` stored.
+def check_parts(parts: Sequence[Tuple[int, np.ndarray]],
+                slices: Sequence[Tuple[int, int]]) -> None:
+    """Raise :class:`ValueError` unless ``parts`` can be the stored form
+    of an int64 array that ``slices`` partition: one part per slice, each
+    an int64 first value and as many deltas as its slice has elements
+    less one, held in int8, int16, int32 or int64.
 
-    One ``np.empty`` holds the result: each slice's window takes its
-    first value and its widened deltas, then is summed in place, so no
-    per-slice temporary is made.  The result is read-only: a loaded
-    trace may feed many runs (:func:`~repro.workloads.build_cache.
-    load_or_record`), so a write into it must raise, not change the next
-    run's input.  Raises :class:`ValueError` when a part does not match
-    its slice.
+    Loading a trace runs this on every part, so a damaged entry fails
+    inside the store's lookup (and is quarantined), never in the middle
+    of a run that decodes a part later.
     """
     if len(parts) != len(slices):
         raise ValueError(f"{len(parts)} stored parts for {len(slices)} "
                          f"slices")
-    out = np.empty(_partition_end(slices), dtype=np.int64)
-    for (s0, s1), (first, deltas) in zip(slices, parts):
+    _partition_end(slices)
+    for (s0, s1), part in zip(slices, parts):
+        first, deltas = part
+        if not (isinstance(first, int) and _INT64_MIN <= first <= _INT64_MAX
+                and isinstance(deltas, np.ndarray) and deltas.ndim == 1
+                and deltas.dtype in _DELTA_WIDTHS):
+            raise ValueError(f"slice ({s0}, {s1}) stored as a malformed "
+                             f"part")
         if len(deltas) != max(s1 - s0 - 1, 0):
             raise ValueError(f"slice ({s0}, {s1}) stored with "
                              f"{len(deltas)} deltas")
-        if s1 > s0:
-            window = out[s0:s1]
-            window[0] = first
-            window[1:] = deltas
-            np.cumsum(window, out=window)
+
+
+def unpack_part(part: Tuple[int, np.ndarray], out: np.ndarray
+                ) -> np.ndarray:
+    """Fill ``out``, an int64 window of one slice's length, with the
+    values the stored ``part`` holds, and return it: the first value and
+    the widened deltas are written in place, then summed in place
+    (``cumsum(out=)``), so no temporary is made."""
+    first, deltas = part
+    if len(out):
+        out[0] = first
+        out[1:] = deltas
+        np.cumsum(out, out=out)
+    return out
+
+
+def unpack_slices(parts: Sequence[Tuple[int, np.ndarray]],
+                  slices: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Rebuild the contiguous int64 array :func:`pack_slices` stored.
+
+    One ``np.empty`` holds the result and each slice is decoded into its
+    window (:func:`unpack_part`).  The result is read-only: a loaded
+    trace may feed many runs (:func:`~repro.workloads.build_cache.
+    load_or_record`), so a write into it must raise, not change the next
+    run's input.  Raises :class:`ValueError` when a part does not match
+    its slice (:func:`check_parts`).
+    """
+    check_parts(parts, slices)
+    out = np.empty(_partition_end(slices), dtype=np.int64)
+    for (s0, s1), part in zip(slices, parts):
+        unpack_part(part, out[s0:s1])
     out.flags.writeable = False
     return out
+
+
+class StoredSlices:
+    """A loaded int64 array in its stored form, decoded on first read.
+
+    Holds the parts :func:`pack_slices` made (checked on construction,
+    :func:`check_parts`) and what has been decoded of them: a slice read
+    on its own is decoded on its own and kept, so a stream is decoded at
+    most once per object and a stream no run reads is never decoded; the
+    whole array is decoded in one piece when it is read, and a slice read
+    after that is its view.  The parts stay as loaded, so pickling the
+    owner again writes them unchanged.
+    """
+
+    def __init__(self, parts: List[Tuple[int, np.ndarray]],
+                 slices: Sequence[Tuple[int, int]]) -> None:
+        check_parts(parts, slices)
+        self.parts = parts
+        self.slices = slices
+        self._arrays: Dict[int, np.ndarray] = {}
+        self._whole: Optional[np.ndarray] = None
+
+    def array(self, index: int) -> np.ndarray:
+        """Slice ``index``'s values, read-only."""
+        out = self._arrays.get(index)
+        if out is None:
+            s0, s1 = self.slices[index]
+            if self._whole is not None:
+                return self._whole[s0:s1]
+            out = unpack_part(self.parts[index],
+                              np.empty(s1 - s0, dtype=np.int64))
+            out.flags.writeable = False
+            self._arrays[index] = out
+        return out
+
+    def whole(self) -> np.ndarray:
+        """The whole array, read-only."""
+        if self._whole is None:
+            self._whole = unpack_slices(self.parts, self.slices)
+        return self._whole
+
+    def deferred(self, index: Optional[int] = None) -> Deferred:
+        """Slice ``index``'s values, or the whole array, made when first
+        read (a :class:`~repro.workloads.base.Deferred`)."""
+        if index is None:
+            return Deferred(self.whole, _partition_end(self.slices))
+        s0, s1 = self.slices[index]
+        return Deferred(partial(self.array, index), s1 - s0)
 
 
 @dataclass
@@ -143,14 +227,18 @@ class PhaseTrace:
     All per-element data lives in shared flat arrays; per-stream entries
     are (start, end) windows into them, so reconstruction is a numpy
     slice (a view, no copy) per stream.  ``vaddrs`` is pickled per
-    stream as narrow deltas (:func:`pack_slices`) and unpickles to the
-    same contiguous int64 array.  Every unpickled array is read-only.
+    stream as narrow deltas (:func:`pack_slices`).  Unpickling checks
+    every part and keeps it (:class:`StoredSlices`): a stream's
+    ``vaddrs`` is decoded the first time a reconstructed phase reads it,
+    the flat array the first time ``vaddrs`` itself is read, and pickling
+    again writes the stored parts unchanged.  Every unpickled array is
+    read-only.
     """
 
     program: StreamProgram
     names: List[str]                  # traces-dict insertion order
     vaddr_slices: List[Tuple[int, int]]
-    vaddrs: np.ndarray                # int64, all streams concatenated
+    vaddrs: np.ndarray = DeferredArray()   # int64, all streams concatenated
     is_write: List[bool]
     element_bytes: List[int]
     affine_fraction: List[float]
@@ -162,18 +250,23 @@ class PhaseTrace:
     barriers: Optional[int]
     serial_chain_latency_hint: float
     data_scale: float
+    # The stored parts of a loaded trace's vaddrs (None when recorded).
+    _stored = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["vaddrs"] = pack_slices(self.vaddrs, self.vaddr_slices)
+        stored = state.pop("_stored", None)
+        state["vaddrs"] = (stored.parts if stored is not None
+                           else pack_slices(self.vaddrs, self.vaddr_slices))
         return state
 
     def __setstate__(self, state):
-        state["vaddrs"] = unpack_slices(state["vaddrs"],
-                                        state["vaddr_slices"])
+        stored = StoredSlices(state["vaddrs"], state["vaddr_slices"])
+        state["vaddrs"] = stored.deferred()
         state["modifies"].flags.writeable = False
         state["chain_lengths"].flags.writeable = False
         self.__dict__.update(state)
+        self._stored = stored
 
     # ------------------------------------------------------------------
     @classmethod
@@ -241,7 +334,8 @@ class PhaseTrace:
             c0, c1 = self.chain_slices[i]
             traces[name] = StreamTraceData(
                 stream_name=name,
-                vaddrs=self.vaddrs[v0:v1],
+                vaddrs=(self._stored.deferred(i) if self._stored is not None
+                        else self.vaddrs[v0:v1]),
                 is_write=self.is_write[i],
                 element_bytes=self.element_bytes[i],
                 affine_fraction=self.affine_fraction[i],
@@ -284,7 +378,7 @@ class PhaseTrace:
 
     @property
     def nbytes(self) -> int:
-        return (self.vaddrs.nbytes + self.modifies.nbytes
+        return (8 * len(vars(self)["vaddrs"]) + self.modifies.nbytes
                 + self.chain_lengths.nbytes)
 
 
@@ -298,18 +392,20 @@ class PhaseStatsPack:
     phase's completed stream-pair entries (``pairs``: the ``entries`` of
     its :class:`~repro.sim.tracestats.PairGeometry`).  ``banks`` and
     ``cores`` are arithmetic functions of ``lines`` and the mesh
-    (``lines % num_tiles``, the OpenMP-static split) and are rebuilt on
-    unpack with the exact formulas
-    :func:`~repro.sim.tracestats.compute_stream_stats` uses, so the
-    reconstruction is bit-identical and holds one int64 array where the
-    stats hold three.  ``lines`` is pickled per stream as narrow deltas
-    (:func:`pack_slices`), so at rest it takes a fraction of its 8 bytes
-    per element.
+    (``lines % num_tiles``, the OpenMP-static split) and are rebuilt with
+    the exact formulas :func:`~repro.sim.tracestats.compute_stream_stats`
+    uses, so the reconstruction is bit-identical and holds one int64
+    array where the stats hold three.  ``lines`` is pickled per stream as
+    narrow deltas (:func:`pack_slices`), so at rest it takes a fraction
+    of its 8 bytes per element; unpickling keeps the checked parts
+    (:class:`StoredSlices`), as :class:`PhaseTrace` does for ``vaddrs``,
+    and the stats :meth:`to_stats` makes decode a stream's ``lines``,
+    and compute its ``banks`` and ``cores``, when first read.
     """
 
     names: List[str]                  # traces-dict insertion order
     line_slices: List[Tuple[int, int]]
-    lines: np.ndarray                 # int64, all streams concatenated
+    lines: np.ndarray = DeferredArray()   # int64, all streams concatenated
     line_fetches: List[int]
     migrations: List[int]
     migration_hops: List[float]
@@ -323,15 +419,21 @@ class PhaseStatsPack:
     # recompute, never to a wrong answer.
     lock_analyses: List[Optional["LockAnalysis"]]
     pairs: Dict[tuple, object]
+    # The stored parts of a loaded pack's lines (None when packed here).
+    _stored = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["lines"] = pack_slices(self.lines, self.line_slices)
+        stored = state.pop("_stored", None)
+        state["lines"] = (stored.parts if stored is not None
+                          else pack_slices(self.lines, self.line_slices))
         return state
 
     def __setstate__(self, state):
-        state["lines"] = unpack_slices(state["lines"], state["line_slices"])
+        stored = StoredSlices(state["lines"], state["line_slices"])
+        state["lines"] = stored.deferred()
         self.__dict__.update(state)
+        self._stored = stored
 
     @classmethod
     def from_geometry(cls, names: List[str], geometry: PairGeometry
@@ -391,14 +493,13 @@ class PhaseStatsPack:
                 raise ValueError(
                     f"stats pack stream {name!r} has {n} elements, "
                     f"phase trace has {trace.steps}")
-            lines = self.lines[v0:v1]
             stats[name] = StreamStats(
                 name=trace.stream_name,
                 elements=n,
                 element_bytes=trace.element_bytes,
-                lines=lines,
-                banks=banks_of_lines(lines, n_tiles),
-                cores=core_of_elements(n, n_tiles),
+                lines=Deferred(partial(self._lines, i), n),
+                banks=Deferred(partial(self._banks, i, n_tiles), n),
+                cores=Deferred(partial(core_of_elements, n, n_tiles), n),
                 line_fetches=self.line_fetches[i],
                 migrations=self.migrations[i],
                 migration_hops=self.migration_hops[i],
@@ -414,9 +515,20 @@ class PhaseStatsPack:
             )
         return stats
 
+    def _lines(self, index: int) -> np.ndarray:
+        if self._stored is not None:
+            return self._stored.array(index)
+        v0, v1 = self.line_slices[index]
+        return self.lines[v0:v1]
+
+    def _banks(self, index: int, n_tiles: int) -> np.ndarray:
+        banks = banks_of_lines(self._lines(index), n_tiles)
+        banks.flags.writeable = False
+        return banks
+
     @property
     def nbytes(self) -> int:
-        return self.lines.nbytes
+        return 8 * len(vars(self)["lines"])
 
 
 @dataclass
@@ -463,13 +575,17 @@ class FunctionalTrace:
         default_factory=dict, init=False, repr=False, compare=False)
     _levels: Dict[tuple, List[Dict[str, Tuple[float, ...]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # The walk keys this object's store entry holds, or whose walk has
+    # had its one write attempt (:meth:`unsaved_walks`).  Per process.
+    _saved: set = field(default_factory=set, init=False, repr=False,
+                        compare=False)
 
     def __getstate__(self):
         # The geometry memo is per process; its entries travel packed in
         # ``stats``.  A walk's list stays empty while its run is under way
         # (or after the run raised), and only finished walks are stored.
         state = dict(self.__dict__)
-        del state["_geometry"]
+        del state["_geometry"], state["_saved"]
         state["_levels"] = {key: walk for key, walk in self._levels.items()
                             if walk}
         return state
@@ -479,8 +595,10 @@ class FunctionalTrace:
         self.__dict__.update(state)
         self._geometry = {}
         self._levels = {}
+        self._saved = set()
         if self._walks_fit(levels):
             self._levels.update(levels)
+            self._saved.update(levels)
         else:
             # A missing stream would read as a default rate, so a stored
             # walk that does not fit is refused outright.  Dropping the
@@ -561,6 +679,18 @@ class FunctionalTrace:
         an empty list, which that run fills in, when no run has made it
         yet."""
         return self._levels.setdefault(key, [])
+
+    def unsaved_walks(self) -> List[tuple]:
+        """Keys of the finished walks that the stored entry lacks and that
+        have not had a write attempt yet (:func:`~repro.workloads.
+        build_cache.save_trace` marks them with :meth:`mark_saved`)."""
+        return [key for key, walk in self._levels.items()
+                if walk and key not in self._saved]
+
+    def mark_saved(self) -> None:
+        """Record that every finished walk has had its write attempt."""
+        self._saved.update(key for key, walk in self._levels.items()
+                           if walk)
 
     def pack_stats(self) -> bool:
         """Pack the memoized geometry of every phase into ``stats``.

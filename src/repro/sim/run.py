@@ -59,13 +59,18 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     builds and records one (``run.build``, ``run.record``) and stores it
     after the run has derived its geometry and completed every pair any
     mode asks for (``run.store``), so every later run of any mode,
-    timing knob or SE knob on that layout replays.  The trace
-    this process last loaded is kept while its store entry is unchanged,
-    so a loop over modes or knobs by name reads and decodes it once: a
-    later run of the same key counts one store hit, reads no bytes and
-    shares the first run's stream geometry.  Disable with
-    ``use_replay=False`` or ``$REPRO_NO_REPLAY``; a custom ``space``
-    also builds live.
+    timing knob or SE knob on that layout replays.  A run that finishes
+    a cache walk the entry lacks writes the entry again with it
+    (``run.store``, once per walk key), so the next run of that mode in
+    any process walks nothing.  A loaded trace decodes a stream's arrays
+    only when the run first reads them, so a run whose walk and geometry
+    come from the entry decodes nothing.  The trace this process last
+    loaded is kept while its store entry is unchanged, or rewritten by
+    this process's own write-back, so a loop over modes or knobs by name
+    reads it once: a later run of the same key counts one store hit,
+    reads no bytes and shares the first run's stream geometry and
+    decoded streams.  Disable with ``use_replay=False`` or
+    ``$REPRO_NO_REPLAY``; a custom ``space`` also builds live.
 
     ``fault_plan`` injects seeded, discrete faults at the real protocol
     sites (:mod:`repro.fault`): alias false positives, SE_L3 TLB aborts

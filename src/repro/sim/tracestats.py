@@ -20,7 +20,7 @@ from repro.isa.pattern import ComputeKind
 from repro.mem.address import AddressSpace, LINE_SHIFT
 from repro.mem.locks import LockAnalysis
 from repro.noc.topology import Mesh
-from repro.workloads.base import Phase, StreamTraceData
+from repro.workloads.base import DeferredArray, Phase, StreamTraceData
 
 if TYPE_CHECKING:
     from repro.compiler.program import StreamProgram
@@ -81,14 +81,19 @@ def core_of_elements(n_elements: int, n_cores: int) -> np.ndarray:
 
 @dataclass
 class StreamStats:
-    """Exact geometry of one stream's global trace."""
+    """Exact geometry of one stream's global trace.
+
+    The three per-element arrays are :class:`~repro.workloads.base.
+    DeferredArray` fields: stats unpacked from a stored trace make each
+    one on its first read.
+    """
 
     name: str
     elements: int
     element_bytes: int
-    lines: np.ndarray            # physical line of each element
-    banks: np.ndarray            # owning L3 bank of each element
-    cores: np.ndarray            # owning core of each element
+    lines: np.ndarray = DeferredArray()   # physical line of each element
+    banks: np.ndarray = DeferredArray()   # owning L3 bank of each element
+    cores: np.ndarray = DeferredArray()   # owning core of each element
     line_fetches: int            # consecutive-dedup line count
     migrations: int              # bank transitions along the trace
     migration_hops: float        # total hops of those transitions

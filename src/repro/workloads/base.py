@@ -19,11 +19,52 @@ from repro.workloads import WORKLOAD_NAMES
 DEFAULT_SCALE = 1.0 / 64.0
 
 
+class Deferred:
+    """An array that is not made yet: ``make()`` makes it, and its length
+    is known without making it."""
+
+    __slots__ = ("make", "length")
+
+    def __init__(self, make: Callable[[], np.ndarray], length: int) -> None:
+        self.make = make
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+
+class DeferredArray:
+    """A dataclass array field that may be given a :class:`Deferred`.
+
+    The first read makes the array and keeps it in the field's place, so
+    every later read returns that same array; until then ``len(vars(obj)
+    [name])`` is its length.  A stored trace hands its streams' arrays
+    out this way (:mod:`repro.sim.replay`), so a run pays only for the
+    arrays it reads.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # No class-level value, so dataclasses sees a required field.
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is Deferred:
+            value = obj.__dict__[self.name] = value.make()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class StreamTraceData:
     """The realized access sequence of one stream over a whole kernel run.
 
-    ``vaddrs`` are element (not line) virtual addresses in stream-step order.
+    ``vaddrs`` are element (not line) virtual addresses in stream-step order
+    (a :class:`DeferredArray`: ``steps`` and ``slice_for`` never make it).
     ``modifies`` (atomic streams) records whether each operation changed the
     stored value — measured by the functional execution, not estimated.
     ``chain_lengths`` (pointer-chase streams) gives per-traversal lengths so
@@ -31,7 +72,7 @@ class StreamTraceData:
     """
 
     stream_name: str
-    vaddrs: np.ndarray
+    vaddrs: np.ndarray = DeferredArray()
     is_write: bool
     element_bytes: int
     affine_fraction: float = 1.0
@@ -39,16 +80,17 @@ class StreamTraceData:
     chain_lengths: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.vaddrs = np.asarray(self.vaddrs, dtype=np.int64)
+        if type(vars(self)["vaddrs"]) is not Deferred:
+            self.vaddrs = np.asarray(self.vaddrs, dtype=np.int64)
         if self.modifies is not None:
             self.modifies = np.asarray(self.modifies, dtype=bool)
-            if len(self.modifies) != len(self.vaddrs):
+            if len(self.modifies) != self.steps:
                 raise ValueError(f"{self.stream_name}: modifies length "
                                  f"mismatch")
 
     @property
     def steps(self) -> int:
-        return len(self.vaddrs)
+        return len(vars(self)["vaddrs"])
 
     def slice_for(self, core: int, n_cores: int) -> slice:
         """OpenMP-static contiguous partition of the stream's steps."""

@@ -78,17 +78,20 @@ def load_or_record(name: str, scale: float, seed: int,
     writes it once a run has derived its stream geometry, so the one
     entry holds both.  ``cache=None`` never touches a store.  Stages
     land on ``profiler``: ``run.replay`` (lookup), ``run.build`` and
-    ``run.record``.
+    ``run.record``.  A loaded trace decodes each stream's arrays only
+    when a run first reads them (:class:`~repro.sim.replay.PhaseTrace`).
 
     The trace this process last *loaded* is remembered with its store
     root, key and entry identity (:meth:`ResultCache.entry_identity`).
     The next call for that key and store, while the entry keeps that
     identity, returns the same object without reading or decoding
-    anything (its ``geometry_for`` memo comes along) and counts one
-    ``cache.hits`` without adding to ``bytes_read``.  A rewritten,
-    quarantined or deleted entry changes the identity, so that call does
-    a real lookup; any other call drops the remembered trace before its
-    lookup.  Recorded traces are never remembered.
+    anything (its ``geometry_for`` and walk memos and the streams it
+    decoded come along) and counts one ``cache.hits`` without adding to
+    ``bytes_read``.  When :func:`save_trace` rewrites the entry of the
+    remembered object (a new walk), the memo takes the new identity.
+    Any other rewrite, a quarantine or a deletion changes the identity,
+    so that call does a real lookup; any other call drops the remembered
+    trace before its lookup.  Recorded traces are never remembered.
     """
     global _last_loaded
     from repro.sim.replay import REPLAY_SCHEMA, FunctionalTrace, \
@@ -125,40 +128,61 @@ def load_or_record(name: str, scale: float, seed: int,
 
 def save_trace(trace, cache: Optional[ResultCache],
                profiler: Optional[Profiler] = None) -> bool:
-    """Write ``trace``'s entry if this process derived its geometry.
+    """Write ``trace``'s entry when this process has something to add.
 
     A freshly recorded trace, or a loaded one without packed stats,
     gains them once runs have computed every phase
     (:meth:`~repro.sim.replay.FunctionalTrace.pack_stats`, which first
     completes each phase's stream-pair geometry for every mode); only
     then is the entry written (stage ``run.store``, completion
-    included), so a warm trace writes nothing and a run on the entry
-    computes no pair geometry.  The entry also keeps every sampled cache
-    walk the trace's runs have finished by then (the recording run's, or
-    every point of a sweep group); walks made later stay in memory, so
-    the entry is written once.  Failures degrade: an unpicklable trace
-    and one over ``$REPRO_CACHE_MAX_MB`` warn once per call; a write the
+    included), so a run on the entry computes no pair geometry.  The
+    entry keeps every sampled cache walk the trace's runs have finished
+    by then (the recording run's, or every point of a sweep group).  A
+    trace that already has its stats is written again when a run has
+    finished a walk whose key the entry lacks
+    (:meth:`~repro.sim.replay.FunctionalTrace.unsaved_walks`), so the
+    next process to load the entry walks nothing for that key; a warm
+    trace with nothing new writes nothing.  Each new walk key of one
+    trace object gets one write attempt, whatever its outcome, so a full
+    disk or the size cap never costs a write per run.  When the process
+    remembers ``trace`` as the one it last loaded
+    (:func:`load_or_record`), the memo takes the rewritten entry's
+    identity, so the next by-name run of the key still reads nothing.
+
+    Failures degrade: an unpicklable trace and one over
+    ``$REPRO_CACHE_MAX_MB`` warn once per write attempt; a write the
     filesystem refused (ENOSPC, EACCES, chaos injection) is already
     counted by the store (``cache.write_errors``) and stays silent — an
     unattended sweep on a full disk must not drown in warnings while it
     keeps computing.
     """
-    if cache is None or trace.stats is not None:
+    global _last_loaded
+    if cache is None or (trace.stats is not None
+                         and not trace.unsaved_walks()):
         return False
     prof = profiler if profiler is not None else Profiler()
     label = f"replay cache: {trace.workload} (scale={trace.scale:g})"
     before = cache.oversize_skips
     with prof.stage("run.store"):
-        if not trace.pack_stats():
+        if trace.stats is None and not trace.pack_stats():
             return False
+        trace.mark_saved()
+        key = trace_key(trace.workload, trace.scale, trace.seed,
+                        trace.layout)
         try:
-            stored = cache.store(
-                trace_key(trace.workload, trace.scale, trace.seed,
-                          trace.layout), trace, kind=KIND_REPLAY)
+            stored = cache.store(key, trace, kind=KIND_REPLAY)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             warnings.warn(f"{label} is unpicklable, not cached: {exc}",
                           stacklevel=2)
             return False
+        memo = _last_loaded
+        if stored and memo is not None and memo[3] is trace \
+                and memo[:2] == (cache.root, key):
+            # Another process may have replaced the entry since: it holds
+            # the same trace, and a walk it lacks is walked again.
+            identity = cache.entry_identity(key)
+            _last_loaded = (None if identity is None
+                            else (cache.root, key, identity, trace))
     if not stored and cache.oversize_skips > before:
         warnings.warn(f"{label} exceeds $REPRO_CACHE_MAX_MB, not cached",
                       stacklevel=2)

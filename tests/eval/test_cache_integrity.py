@@ -310,3 +310,54 @@ def test_unpicklable_build_warns_and_degrades(tmp_path):
         assert save_trace(trace, cache) is False
     assert trace.stats is not None
     assert cache.disk_stats()["entries"] == 0
+
+
+@pytest.mark.parametrize("refusal", ["enospc", "size_cap"])
+def test_refused_walk_write_back_is_tried_once_per_key(tmp_path, monkeypatch,
+                                                       refusal):
+    """Runs by name that each finish a walk the stored entry lacks, while
+    every write is refused (a chaos ENOSPC injector, or the
+    ``$REPRO_CACHE_MAX_MB`` cap): each new walk key of the trace object
+    gets one store attempt, and so at most one warning, however often
+    its mode runs, and every result equals the live run's."""
+    import warnings
+
+    from repro.config import SystemConfig
+    from repro.eval import result_cache
+    from repro.fault.chaos import ChaosInjector, ChaosPlan
+    from repro.offload.modes import ExecMode
+    from repro.sim.run import run_workload
+    from repro.workloads import build_cache
+
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr(result_cache, "_default_cache", cache)
+    monkeypatch.setattr(build_cache, "_last_loaded", None)
+    config = SystemConfig.ooo8()
+    scale = 1.0 / 256.0
+    run_workload("bfs_push", ExecMode.BASE, config=config, scale=scale)
+    if refusal == "enospc":
+        cache.injector = ChaosInjector(ChaosPlan(enospc=1.0))
+    else:
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0001")
+    attempts = []
+    store = ResultCache.store
+    monkeypatch.setattr(ResultCache, "store", lambda self, *a, **kw:
+                        attempts.append(1) or store(self, *a, **kw))
+    modes = (ExecMode.NS, ExecMode.INST, ExecMode.NS_DECOUPLE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            for mode in modes:
+                got = run_workload("bfs_push", mode, config=config,
+                                   scale=scale)
+                live = run_workload("bfs_push", mode, config=config,
+                                    scale=scale, use_replay=False)
+                assert got.to_dict() == live.to_dict(), mode
+    trace = build_cache._last_loaded[3]
+    new_keys = len(trace._levels) - 1        # all but the stored BASE walk
+    assert new_keys >= 2 and len(attempts) == new_keys
+    refused = (cache.write_errors if refusal == "enospc"
+               else cache.oversize_skips)
+    assert refused == new_keys
+    oversize = [w for w in caught if "REPRO_CACHE_MAX_MB" in str(w.message)]
+    assert len(oversize) == (new_keys if refusal == "size_cap" else 0)

@@ -22,6 +22,7 @@ from repro.eval import result_cache
 from repro.eval.result_cache import KIND_REPLAY
 from repro.offload.modes import ExecMode
 from repro.sim.machine import Machine
+from repro.sim.phase import PhaseEngine
 from repro.sim.replay import REPLAY_SCHEMA
 from repro.sim.run import run_workload
 from repro.sim.tracestats import compute_phase_stats, hops_matrix
@@ -109,15 +110,26 @@ def test_stats_bundle_bit_identical(workload, mesh, cache_dir):
 
 
 @pytest.mark.parametrize("mesh", MESHES)
-def test_cross_mode_warm_equals_uncached(mesh, cache_dir):
+def test_cross_mode_warm_equals_uncached(mesh, cache_dir, monkeypatch):
     """Every mode replayed with the stored stats matches the same mode
-    replaying a copy of the trace without them (geometry recomputed)."""
+    replaying a copy of the trace without them (geometry recomputed).
+    A mode's first run writes its cache walk back when the entry lacks
+    it; its second run writes nothing and walks nothing."""
     config = SystemConfig.paper_mesh(mesh)
     run_workload("bfs_push", config=config, scale=SCALE)  # populate
+    cache = result_cache.get_default_cache()
+    walks = []
+    walk = PhaseEngine._walk_caches
+    monkeypatch.setattr(PhaseEngine, "_walk_caches",
+                        lambda self: walks.append(1) or walk(self))
     for mode in (ExecMode.BASE, ExecMode.INST, ExecMode.NS,
                  ExecMode.NS_DECOUPLE):
+        run_workload("bfs_push", mode, config=config, scale=SCALE)
+        written = cache.bytes_written
+        walks.clear()
         warm = run_workload("bfs_push", mode, config=config, scale=SCALE)
         assert "run.store" not in warm.profile
+        assert cache.bytes_written == written and walks == [], mode
         bare = dataclasses.replace(_stored("bfs_push", config), stats=None)
         live = run_workload(bare, mode, config=config, scale=SCALE)
         assert warm.to_dict() == live.to_dict()

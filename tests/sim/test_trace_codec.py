@@ -10,6 +10,7 @@ quarantine like any other corrupt entry.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig
 from repro.eval.result_cache import KIND_REPLAY, ResultCache
 from repro.offload.modes import ExecMode
-from repro.sim import replay
+from repro.sim import replay, tracestats
 from repro.sim.machine import Machine
 from repro.sim.replay import pack_slices, unpack_slices
 from repro.sim.run import run_workload
-from repro.workloads import all_workload_names
+from repro.workloads import all_workload_names, build_cache
 from repro.workloads.build_cache import load_or_record, trace_key
 
 SCALE = 1.0 / 256.0
@@ -177,6 +178,15 @@ def test_loaded_trace_arrays_are_read_only(workload, tmp_path):
         for stream in pt.to_phase().traces.values():
             views += [a for a in (stream.vaddrs, stream.modifies,
                                   stream.chain_lengths) if a is not None]
+    # A stream read before any flat array is decoded on its own, and
+    # its arrays, banks and cores included, are read-only too.
+    lazy = ResultCache(tmp_path).lookup(key)
+    mesh = Machine.build(config, sample_cores=4, data_scale=SCALE).mesh
+    for i, pt in enumerate(lazy.phases):
+        phase = pt.to_phase()
+        views += [s.vaddrs for s in phase.traces.values()]
+        for st in lazy.stats[i].to_stats(phase, mesh).values():
+            views += [st.lines, st.banks, st.cores]
     written = [v for v in views if len(v)]
     assert any(s.modifies is not None or s.chain_lengths is not None
                for pt in loaded.phases for s in pt.to_phase().traces.values())
@@ -197,14 +207,31 @@ def test_stored_trace_takes_under_a_third_of_its_int64_bytes(tmp_path):
     assert stored < trace.nbytes / 3, (stored, trace.nbytes)
 
 
-def test_wrong_length_part_quarantines_and_the_rerun_rebuilds(
-        tmp_path, monkeypatch):
-    """A stored part one delta short of its slice fails ``__setstate__``;
-    the lookup quarantines the entry, and the next run rebuilds and
-    rewrites it with a bit-identical result."""
+def _damage_stored_part(trace, damage):
+    """Damage, in place, the first stored part with deltas: a ``vaddrs``
+    part one delta short or gone, or a ``lines`` part whose deltas are
+    floats.  Pickling the loaded trace writes its stored parts as they
+    are, so the damage reaches the entry."""
+    holders = ([pack._stored for pack in trace.stats] if damage == "float"
+               else [pt._stored for pt in trace.phases])
+    parts = next(h.parts for h in holders
+                 if any(len(d) for _, d in h.parts))
+    i = next(i for i, (_, d) in enumerate(parts) if len(d))
+    first, deltas = parts[i]
+    if damage == "short":
+        parts[i] = (first, deltas[:-1])
+    elif damage == "missing":
+        del parts[i]
+    else:
+        parts[i] = (first, deltas.astype(np.float64))
+
+
+def _damaged_entry_quarantines_and_the_rerun_rebuilds(tmp_path, monkeypatch,
+                                                      damage):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     from repro.eval import result_cache
     monkeypatch.setattr(result_cache, "_default_cache", None)
+    monkeypatch.setattr(build_cache, "_last_loaded", None)
     config = SystemConfig.ooo8()
     first = run_workload("histogram", ExecMode.NS, config=config,
                          scale=SCALE, seed=SEED)
@@ -212,18 +239,9 @@ def test_wrong_length_part_quarantines_and_the_rerun_rebuilds(
     key = trace_key("histogram", SCALE, SEED, config)
     cache = ResultCache(tmp_path)
     trace = cache.lookup(key)
-
-    pack = replay.pack_slices
-
-    def one_delta_short(values, slices):
-        parts = pack(values, slices)
-        i = next(i for i, (_, d) in enumerate(parts) if len(d))
-        parts[i] = (parts[i][0], parts[i][1][:-1])
-        return parts
-
-    with monkeypatch.context() as m:
-        m.setattr(replay, "pack_slices", one_delta_short)
-        assert cache.store(key, trace, kind=KIND_REPLAY)
+    _damage_stored_part(trace, damage)
+    assert cache.store(key, trace, kind=KIND_REPLAY)
+    # The damage fails the load itself, not a run that decodes it later.
     assert cache.lookup(key) is None
     assert cache.quarantined == 1
     assert len(list(cache.quarantine_root.glob("*.pkl"))) == 1
@@ -234,3 +252,83 @@ def test_wrong_length_part_quarantines_and_the_rerun_rebuilds(
     assert again.to_dict() == first.to_dict()
     fresh = ResultCache(tmp_path)
     assert fresh.lookup(key) is not None and fresh.quarantined == 0
+
+
+def test_wrong_length_part_quarantines_and_the_rerun_rebuilds(
+        tmp_path, monkeypatch):
+    """A stored part one delta short of its slice fails ``__setstate__``;
+    the lookup quarantines the entry, and the next run rebuilds and
+    rewrites it with a bit-identical result."""
+    _damaged_entry_quarantines_and_the_rerun_rebuilds(tmp_path, monkeypatch,
+                                                      "short")
+
+
+@pytest.mark.parametrize("damage", ["missing", "float"])
+def test_missing_or_float_part_quarantines_at_lookup(tmp_path, monkeypatch,
+                                                     damage):
+    """So does a part missing from its array's list, and deltas stored
+    as floats, which would decode to the same values without the check:
+    ``__setstate__`` checks every part before anything is decoded."""
+    _damaged_entry_quarantines_and_the_rerun_rebuilds(tmp_path, monkeypatch,
+                                                      damage)
+
+
+def test_repickled_loaded_trace_writes_its_parts_unchanged(tmp_path):
+    """Pickling a loaded trace again writes each stored part as it was
+    loaded, decoding and encoding nothing, whether or not a stream was
+    decoded in between."""
+    config = SystemConfig.ooo8()
+    trace, _ = _recorded_with_stats("bfs_push", config)
+    loaded = pickle.loads(pickle.dumps(trace))
+    pt = loaded.phases[0]
+    assert len(pt.to_phase().traces[pt.names[0]].vaddrs)   # one decoded
+    packs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(replay, "pack_slices", lambda *a: packs.append(a))
+        again = pickle.loads(pickle.dumps(loaded))
+    assert packs == []
+    for old, new in zip(trace.phases, again.phases):
+        assert np.array_equal(old.vaddrs, new.vaddrs)
+    for old, new in zip(trace.stats, again.stats):
+        assert np.array_equal(old.lines, new.lines)
+
+
+def _count(monkeypatch, owner, name, calls):
+    """Append ``name`` to ``calls`` on each call of ``owner.name``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("workload", all_workload_names())
+def test_run_on_a_loaded_entry_with_its_walk_decodes_nothing(
+        workload, tmp_path, monkeypatch):
+    """Every mode: once the entry holds the mode's walk (its first run by
+    name writes it back), a run by name on the entry loaded afresh reads
+    no stream's ``vaddrs`` or ``lines`` and computes no ``banks``, and
+    equals the live run."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    from repro.eval import result_cache
+    monkeypatch.setattr(result_cache, "_default_cache", None)
+    config = SystemConfig.paper_mesh(8)
+    decodes, banks = [], []
+    _count(monkeypatch, replay, "unpack_part", decodes)
+    for module in (replay, tracestats):
+        _count(monkeypatch, module, "banks_of_lines", banks)
+    for mode in ExecMode:
+        run_workload(workload, mode, config=config, scale=SCALE, seed=SEED)
+        monkeypatch.setattr(build_cache, "_last_loaded", None)
+        decodes.clear()
+        banks.clear()
+        warm = run_workload(workload, mode, config=config, scale=SCALE,
+                            seed=SEED)
+        assert "run.replay" in warm.profile and "run.store" not in \
+            warm.profile, mode
+        assert (decodes, banks) == ([], []), mode
+        live = run_workload(workload, mode, config=config, scale=SCALE,
+                            seed=SEED, use_replay=False)
+        assert warm.to_dict() == live.to_dict(), mode

@@ -25,6 +25,7 @@ from repro.eval import result_cache
 from repro.eval.sweep import SweepPoint, run_sweep
 from repro.mem.hierarchy import HierarchyModel
 from repro.offload.modes import ExecMode
+from repro.sim import replay
 from repro.sim.machine import Machine
 from repro.sim.phase import PhaseEngine
 from repro.sim.run import run_workload
@@ -66,16 +67,31 @@ def walks(monkeypatch):
     return _counter(monkeypatch, HierarchyModel, "walk_elements")
 
 
+#: Each workload's BASE walk key, found once by a run on a copy whose
+#: memos are empty, so later calls walk nothing a test may be counting.
+_BASE_KEYS = {}
+
+
+def _base_key(trace):
+    if trace.workload not in _BASE_KEYS:
+        copy = dataclasses.replace(trace)
+        run_workload(copy, ExecMode.BASE, config=CONFIG)
+        (_BASE_KEYS[trace.workload],) = copy._levels
+    return _BASE_KEYS[trace.workload]
+
+
 def _loaded(workload):
     """The stored trace as a new object; a first call records and stores
-    it by a BASE run, whose walk the entry carries."""
+    it by a BASE run, whose walk the entry carries (runs by name of other
+    modes may have written theirs back since)."""
     cache = result_cache.get_default_cache()
     key = trace_key(workload, SCALE, 42, CONFIG)
     trace = cache.lookup(key)
     if trace is None:
         run_workload(workload, ExecMode.BASE, config=CONFIG, scale=SCALE)
         trace = cache.lookup(key)
-    assert len(trace._levels) == 1 and not trace._geometry
+    assert _base_key(trace) in trace._levels
+    assert not trace._geometry
     return trace
 
 
@@ -104,6 +120,44 @@ def test_modes_by_name_equal_runs_on_a_fresh_trace(cache_dir, monkeypatch,
         fresh = run_workload(_fresh(workload), mode, config=CONFIG)
         assert fresh.to_dict() == result.to_dict(), mode
     assert sampled_by_name < len(sampled)
+
+
+def test_ns_by_name_writes_its_walk_back_once(cache_dir, monkeypatch):
+    """NS by name on an entry a BASE run recorded walks and rewrites the
+    entry once, adding its walk.  The process keeps the trace under the
+    rewritten entry's identity, so the next mode by name reads nothing;
+    NS on the entry loaded afresh walks, writes and decodes nothing."""
+    sampled = _counter(monkeypatch, PhaseEngine, "_walk_caches")
+    stores = _counter(monkeypatch, result_cache.ResultCache, "store")
+    decodes = []
+    unpack = replay.unpack_part
+    monkeypatch.setattr(replay, "unpack_part",
+                        lambda *a: decodes.append(1) or unpack(*a))
+    cache = result_cache.get_default_cache()
+    run_workload("bfs_push", ExecMode.BASE, config=CONFIG, scale=SCALE)
+    sampled.clear()
+    stores.clear()
+    ns = run_workload("bfs_push", ExecMode.NS, config=CONFIG, scale=SCALE)
+    assert "run.store" in ns.profile and len(stores) == 1 and sampled
+    key = trace_key("bfs_push", SCALE, 42, CONFIG)
+    assert len(cache.lookup(key)._levels) == 2
+    memo = build_cache._last_loaded
+    assert memo[2] == cache.entry_identity(key)
+
+    hits, read = cache.hits, cache.bytes_read
+    run_workload("bfs_push", ExecMode.NS_DECOUPLE, config=CONFIG,
+                 scale=SCALE)
+    assert (cache.hits, cache.bytes_read) == (hits + 1, read)
+    assert build_cache._last_loaded[3] is memo[3]
+
+    monkeypatch.setattr(build_cache, "_last_loaded", None)
+    for calls in (sampled, stores, decodes):
+        calls.clear()
+    again = run_workload("bfs_push", ExecMode.NS, config=CONFIG,
+                         scale=SCALE)
+    assert "run.store" not in again.profile
+    assert (sampled, stores, decodes) == ([], [], [])
+    assert again.to_dict() == ns.to_dict()
 
 
 def _reuse_case(trace, walks, monkeypatch):

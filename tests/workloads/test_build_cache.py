@@ -150,7 +150,7 @@ def test_second_mode_reuses_the_loaded_trace(store, monkeypatch):
     run_workload("histogram", ExecMode.BASE, scale=SCALE)  # records
     first = run_workload("histogram", ExecMode.NS, scale=SCALE)
     lookups = _count_calls(monkeypatch, ResultCache, "lookup")
-    decodes = _count_calls(monkeypatch, replay, "unpack_slices")
+    decodes = _count_calls(monkeypatch, replay, "unpack_part")
     second = run_workload("histogram", ExecMode.INST, scale=SCALE)
     assert (lookups, decodes) == ([], [])
     assert "run.replay" in second.profile
