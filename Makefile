@@ -37,8 +37,9 @@ sweep-fast:
 	$(PYTHON) -m repro report --jobs 0 --cache
 
 # Durable journaled sweep with resume: interrupt it (Ctrl-C, SIGTERM,
-# even SIGKILL) and re-run — completed points replay from the journal,
-# only the remainder is recomputed (override with W="<workloads>").
+# even SIGKILL) and re-run — completed points are read back from the
+# journal's store (sweep.jsonl.store/), only the remainder is recomputed
+# (override with SWEEP_W="<workloads>").
 SWEEP_W ?= bfs_push sssp histogram
 sweep:
 	$(PYTHON) -m repro sweep $(SWEEP_W) --journal sweep.jsonl --resume --watchdog 600

@@ -26,8 +26,9 @@ unbounded.  ``--scale`` must be a fraction in (0, 1].
 
 ``repro sweep`` is the durable workhorse for unattended runs (README
 "Unattended runs", DESIGN.md §5g): ``--journal FILE`` appends every
-completed/failed point as it lands, ``--resume`` restarts a killed
-sweep computing only the missing points (bit-identical results),
+completed/failed point as it lands, its result in the ``--cache`` store
+or, without one, in ``FILE.store/``; ``--resume`` restarts a killed
+sweep computing only the points that store lacks (bit-identical results),
 ``--watchdog SEC`` kills and retries a group whose worker stops
 heartbeating, and a failure summary table prints after every run.
 """
@@ -35,6 +36,7 @@ heartbeating, and a failure summary table prints after every run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -42,6 +44,7 @@ from typing import List, Optional
 # runs, so ``repro list`` loads no simulator and a cached ``repro run``
 # only what unpickling its result needs (DESIGN.md §5i).
 from repro.config.system import SystemConfig
+from repro.eval.journal import SweepJournal
 from repro.eval.report import format_table
 from repro.eval.result_cache import ResultCache, get_default_cache, \
     set_default_cache
@@ -177,6 +180,10 @@ def cmd_sweep(args) -> int:
     if args.resume and not args.journal:
         print("repro: --resume requires --journal FILE", file=sys.stderr)
         return 2
+    if args.journal and os.path.isdir(args.journal):
+        print(f"repro: --journal {args.journal} is a directory; "
+              f"name a file", file=sys.stderr)
+        return 2
     config = _mesh_config(args)
     if config is None:
         return 2
@@ -209,8 +216,11 @@ def cmd_sweep(args) -> int:
                        title=f"sweep: {len(results)}/{len(points)} points "
                              f"(scale {args.scale:g})"))
     if args.journal:
+        store = cache.root if cache is not None \
+            else SweepJournal(args.journal).store_root
         print(f"[journal] {args.journal}: {results.resumed} point(s) "
-              f"resumed, {len(results)} total completed")
+              f"resumed, {len(results)} total completed (results in "
+              f"{store})")
     _print_cache_stats(cache)
     _print_failures(results)
     return 0 if results.ok else 1
@@ -636,10 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: base ns)")
     sweep_p.add_argument("--journal", default=None, metavar="FILE",
                          help="append every completed/failed point to "
-                              "this JSONL journal as it lands")
+                              "this JSONL journal as it lands; results go "
+                              "to the --cache store, or to FILE.store/")
     sweep_p.add_argument("--resume", action="store_true",
-                         help="replay --journal and compute only the "
-                              "missing points (bit-identical results)")
+                         help="take --journal's points from the store and "
+                              "compute only the rest (bit-identical "
+                              "results; pass the same cache flags)")
     sweep_p.add_argument("--watchdog", type=_positive_seconds,
                          default=None, metavar="SEC",
                          help="kill and retry a group whose worker "

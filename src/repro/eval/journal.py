@@ -1,45 +1,44 @@
-"""Durable sweep journal: every point lands on disk as it completes.
+"""Durable sweep journal: every point's outcome lands on disk as it completes.
 
 A long unattended sweep must survive being killed at any instant —
-SIGKILL, OOM, a power cut — without losing completed work.  The result
-cache already persists points, but only when a cache is enabled, and it
-is content-addressed (no notion of "this sweep's progress").  The
-journal closes that gap: :func:`~repro.eval.sweep.run_sweep` appends one
-self-contained JSONL record per point *the moment it completes*, and a
-restart with ``resume=True`` (``repro sweep --resume``) replays the
-journal, skips every point already recorded, and reconstructs their
-:class:`~repro.sim.results.SimResult`\\ s bit-identically — the resumed
+SIGKILL, OOM, a power cut — without losing completed work.  Results live
+in one place, the content-addressed
+:class:`~repro.eval.result_cache.ResultCache`, written the moment each
+point completes; the journal is the sweep's progress ledger beside it.
+:func:`~repro.eval.sweep.run_sweep` appends one JSONL record per point
+as it lands: a completed point's identity (content key, workload, mode,
+scale, seed), or a failed point's failure fields.  A sweep journaled
+without a cache keeps its results in a private store beside the journal
+(:attr:`SweepJournal.store_root`).  A restart with ``resume=True``
+(``repro sweep --resume``) takes every journaled point whose result the
+store still holds and recomputes the rest, so the resumed
 :class:`~repro.eval.sweep.SweepResults` equals an uninterrupted run's.
+A journaled key is never trusted on its own: a point whose store entry
+is gone or damaged is recomputed.
 
 Each record is one ``os.write`` on an ``O_APPEND`` descriptor
 (:func:`append_jsonl`), so concurrent appenders never interleave and a
-crash can only tear the final line.  Loading is paranoid the same way
-the cache store is: every line must parse, carry the journal schema,
-and — for completed points — hold a payload whose SHA-256 matches
-before it is unpickled.  A torn, corrupt, or foreign-schema line is
-counted and skipped, never trusted and never fatal; the affected point
-is simply recomputed.
+crash can only tear the final line.  A torn, malformed or
+foreign-schema line is counted and skipped, never fatal; the affected
+point is taken from the store or recomputed.
 
 The journal is an append-only log, not a database: resuming a sweep
 whose definition changed is safe (records are keyed by the same content
-hash as the result cache, so stale points just never match), and
-re-running a finished sweep with ``resume=True`` is a no-op that reads
-everything back from the journal.
+hash as the result store, so stale points just never match).
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Set
 
 #: Bump when the journal record layout changes incompatibly; loaders
-#: skip records from other schemas (the points are recomputed).
-JOURNAL_SCHEMA = 1
+#: count records from other schemas as corrupt (the points are taken
+#: from the store or recomputed).  2: an ok record holds the point's
+#: identity only, its result is in the store.
+JOURNAL_SCHEMA = 2
 
 #: Record kinds (``kind`` field).
 KIND_START = "sweep-start"
@@ -98,17 +97,17 @@ def iter_jsonl(path: os.PathLike):
 class JournalState:
     """What a journal replay recovered.
 
-    ``completed`` maps point keys to unpickled
-    :class:`~repro.sim.results.SimResult`\\ s; ``failed`` maps point keys
-    to the recorded failure fields (stage/error/message/traceback/
-    attempts) — resuming re-attempts those, so a crash cause that went
-    away (full disk, dead node) gets a second chance.  ``corrupt``
-    counts lines that existed but could not be trusted (torn tail,
-    checksum mismatch, unpicklable payload, foreign schema).
+    ``completed`` is the set of point keys journaled as completed; their
+    results are in the store.  ``failed`` maps point keys to the
+    recorded failure fields (stage/error/message/traceback/attempts) —
+    resuming re-attempts those, so a crash cause that went away (full
+    disk, dead node) gets a second chance.  ``corrupt`` counts lines
+    that existed but could not be trusted (missing key, unknown status,
+    malformed failure fields, foreign schema).
     """
 
     def __init__(self) -> None:
-        self.completed: Dict[str, Any] = {}
+        self.completed: Set[str] = set()
         self.failed: Dict[str, Dict[str, Any]] = {}
         self.corrupt = 0
         self.starts = 0
@@ -127,6 +126,12 @@ class SweepJournal:
     def exists(self) -> bool:
         return self.path.exists()
 
+    @property
+    def store_root(self) -> Path:
+        """The private result store of a sweep journaled without a cache:
+        ``<journal>.store/`` beside the journal."""
+        return self.path.with_name(self.path.name + ".store")
+
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -136,36 +141,25 @@ class SweepJournal:
                       "points": int(n_points), "resumed": int(resumed),
                       "pid": os.getpid()})
 
-    def record_ok(self, point: Any, result: Any) -> None:
-        """Journal one completed point and its full result.
-
-        The SimResult travels as a base64 pickle plus its SHA-256, so
-        the load path can verify integrity before unpickling and the
-        reconstructed object is bit-identical (``to_dict``-equal and
-        pickle-equal) to the one the run produced.
-        """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._append({
-            "kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
-            "status": STATUS_OK, "key": point.key(),
-            "workload": point.workload, "mode": point.mode.value,
-            "scale": point.scale, "seed": point.seed,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload": base64.b64encode(payload).decode("ascii"),
-        })
+    def record_ok(self, point: Any) -> None:
+        """Journal one completed point by its identity; the caller has
+        already written its result to the store."""
+        self._append(self._point_record(STATUS_OK, point))
 
     def record_failure(self, failure: Any) -> None:
         """Journal one failed point (a structured FailedPoint)."""
-        point = failure.point
-        self._append({
-            "kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
-            "status": STATUS_ERROR, "key": point.key(),
-            "workload": point.workload, "mode": point.mode.value,
-            "scale": point.scale, "seed": point.seed,
-            "stage": failure.stage, "error": failure.error,
-            "message": failure.message, "traceback": failure.traceback,
-            "attempts": failure.attempts,
-        })
+        record = self._point_record(STATUS_ERROR, failure.point)
+        record.update(stage=failure.stage, error=failure.error,
+                      message=failure.message, traceback=failure.traceback,
+                      attempts=failure.attempts)
+        self._append(record)
+
+    @staticmethod
+    def _point_record(status: str, point: Any) -> Dict[str, Any]:
+        return {"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
+                "status": status, "key": point.key(),
+                "workload": point.workload, "mode": point.mode.value,
+                "scale": point.scale, "seed": point.seed}
 
     def _append(self, record: Dict[str, Any]) -> None:
         append_jsonl(self.path, record)
@@ -200,40 +194,22 @@ class SweepJournal:
                 continue
             status = record.get("status")
             if status == STATUS_OK:
-                result = self._decode_payload(record)
-                if result is None:
-                    state.corrupt += 1
-                    continue
-                state.completed[key] = result
+                state.completed.add(key)
                 state.failed.pop(key, None)
             elif status == STATUS_ERROR:
+                try:
+                    attempts = int(record.get("attempts", 1) or 1)
+                except (TypeError, ValueError, OverflowError):
+                    state.corrupt += 1
+                    continue
                 if key not in state.completed:
                     state.failed[key] = {
                         "stage": str(record.get("stage", "run")),
                         "error": str(record.get("error", "")),
                         "message": str(record.get("message", "")),
                         "traceback": str(record.get("traceback", "")),
-                        "attempts": int(record.get("attempts", 1) or 1),
+                        "attempts": attempts,
                     }
             else:
                 state.corrupt += 1
         return state
-
-    @staticmethod
-    def _decode_payload(record: Dict[str, Any]) -> Optional[Any]:
-        """Verify and unpickle one ok-record's payload; None on defect."""
-        encoded = record.get("payload")
-        digest = record.get("sha256")
-        if not isinstance(encoded, str) or not isinstance(digest, str):
-            return None
-        try:
-            payload = base64.b64decode(encoded.encode("ascii"),
-                                       validate=True)
-        except (ValueError, UnicodeEncodeError):
-            return None
-        if hashlib.sha256(payload).hexdigest() != digest:
-            return None
-        try:
-            return pickle.loads(payload)
-        except Exception:  # noqa: BLE001 — any defect means recompute
-            return None

@@ -13,8 +13,7 @@ once, records the trace, and stores it after its points ran), and every
 point — every offload mode, timing knob, sample_cores, and fault plan,
 none of which can change addresses or compute results — replays it.
 Groups whose configs differ only outside the layout (SE knobs, core,
-caches) share that one stored trace.  ``$REPRO_NO_REPLAY`` restores the
-previous build-and-share-the-workload behavior.
+caches) share that one stored trace.
 
 Determinism: a group is self-contained — it derives everything from the
 (name, scale, seed, config) tuple, so its results are identical whether it
@@ -39,13 +38,16 @@ outcome, and :func:`schedule_jobs` computes the store's pending points.
 
 Durability (DESIGN.md §5g): pass ``journal=`` to append every completed
 or failed point to a torn-line-safe JSONL journal
-(:mod:`repro.eval.journal`) *the moment it lands* — a sweep SIGKILLed at
-any instant loses at most the points in flight.  ``resume=True`` replays
-the journal first and runs only the missing points; the resumed
-:class:`SweepResults` is bit-identical to an uninterrupted run's.  While
-a journal is active, SIGINT/SIGTERM raise :class:`SweepInterrupted` — a
-:class:`SystemExit` carrying the conventional 128+signum code (130/143)
-— so an unattended sweep dies cleanly with its journal flushed.
+(:mod:`repro.eval.journal`) *the moment it lands*, after its result is
+in the store — a sweep SIGKILLed at any instant loses at most the points
+in flight.  A journaled sweep without a ``cache`` keeps its results and
+traces in a private store beside the journal.  ``resume=True`` takes
+every journaled point the store still holds and runs only the rest; the
+resumed :class:`SweepResults` is bit-identical to an uninterrupted
+run's.  While a journal is active, SIGINT/SIGTERM raise
+:class:`SweepInterrupted` — a :class:`SystemExit` carrying the
+conventional 128+signum code (130/143) — so an unattended sweep dies
+cleanly with its journal flushed.
 """
 
 from __future__ import annotations
@@ -184,8 +186,8 @@ class SweepResults(Dict[SweepPoint, "SimResult"]):
 
     Behaves exactly like the ``{point: SimResult}`` dict older callers
     expect; failed points are absent from the mapping and described on
-    :attr:`failures`.  ``resumed`` counts the points satisfied from a
-    journal replay rather than computed in this run.
+    :attr:`failures`.  ``resumed`` counts the journaled points a resume
+    read back from the store instead of computing them.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -341,21 +343,16 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     records once, replays the trace for every point, and then stores it
     with the stream geometry the points derived
     (:func:`~repro.workloads.build_cache.save_trace`).  An uncached
-    group records in memory only and writes nothing to disk.  With
-    replay disabled (``$REPRO_NO_REPLAY``) points share the built
-    workload.
+    group records in memory only and writes nothing to disk.
 
     Returns one record per point — ``("ok", SimResult)`` or
     ``("error", stage, exc_type, message, traceback)`` — so a mid-group
     exception costs only its own point, never the group's completed work.
     """
-    from repro.mem.address import AddressSpace
-    from repro.sim.run import _ENV_NO_REPLAY, run_workload
-    from repro.workloads import make_workload
+    from repro.sim.run import run_workload
     from repro.workloads.build_cache import load_or_record, save_trace
 
-    points, cache_root = payload[0], payload[1]
-    hb_path = payload[2] if len(payload) > 2 else None
+    points, cache_root, hb_path = payload
 
     def _beat() -> None:
         if hb_path:
@@ -367,15 +364,9 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     _beat()
     first = points[0]
     cache = ResultCache(cache_root) if cache_root is not None else None
-    replay = not os.environ.get(_ENV_NO_REPLAY)
     try:
-        if replay:
-            source = load_or_record(first.workload, first.scale,
-                                    first.seed, first.config, cache)
-        else:
-            source = make_workload(first.workload, scale=first.scale,
-                                   seed=first.seed)
-            source.build(AddressSpace(first.config))
+        source = load_or_record(first.workload, first.scale, first.seed,
+                                first.config, cache)
     except Exception as exc:  # noqa: BLE001 — reported per point
         record = (_ERR, "build", type(exc).__name__, str(exc),
                   clip_traceback(traceback.format_exc()))
@@ -395,13 +386,12 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             records.append((_ERR, "run", type(exc).__name__, str(exc),
                             clip_traceback(traceback.format_exc())))
 
-    if replay:
-        # Pure bookkeeping: a failure here must never cost the group's
-        # completed points.
-        try:
-            save_trace(source, cache)
-        except Exception:  # noqa: BLE001 — best-effort persistence
-            pass
+    # Pure bookkeeping: a failure here must never cost the group's
+    # completed points.
+    try:
+        save_trace(source, cache)
+    except Exception:  # noqa: BLE001 — best-effort persistence
+        pass
     return records
 
 
@@ -555,9 +545,7 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
                     break
                 now = time.monotonic()
                 for future, i in list(pending.items()):
-                    hb_path = (payloads[i][2]
-                               if len(payloads[i]) > 2 else None)
-                    age = _heartbeat_age(hb_path)
+                    age = _heartbeat_age(payloads[i][2])
                     if age is not None and i not in start_at:
                         start_at[i] = now  # first heartbeat observed
                     if watchdog is not None and age is not None \
@@ -638,19 +626,20 @@ class JobStore:
 
     One :class:`JobRecord` per distinct point (deduplicated by the same
     content key as the result cache), moving ``pending → running →
-    done|failed``.  The store owns the side effects: it journals every
-    terminal transition the moment it happens and persists computed
-    results into the :class:`~repro.eval.result_cache.ResultCache`.
-    It is not a database — durability comes entirely from the journal
-    and cache it is backed by (:meth:`absorb_journal`,
-    :meth:`absorb_cache`).  Transitions and scans hold one re-entrant
-    lock.
+    done|failed``.  The store owns the side effects: it persists
+    computed results into the
+    :class:`~repro.eval.result_cache.ResultCache` and journals every
+    terminal transition the moment it happens.  It is not a database —
+    results live only in the cache, and the journal records which points
+    completed or failed (:meth:`absorb_journal`, :meth:`absorb_cache`).
+    Transitions and scans hold one re-entrant lock.
 
     Origins: every completed record remembers where its result came
-    from — ``computed`` (journaled *and* written to the result cache),
+    from — ``computed`` (written to the cache, then journaled),
     ``cache`` (journaled only: the cache already has it), or ``journal``
-    (neither: a resume replay must not re-append what it just read).
-    The resume bit-identity suites depend on exactly this persistence.
+    (a journaled point read back from the cache on resume: neither, so a
+    resume never re-appends what it just read).  The resume
+    bit-identity suites depend on exactly this persistence.
     """
 
     def __init__(self, journal: Optional[SweepJournal] = None,
@@ -700,10 +689,10 @@ class JobStore:
                   origin: str = ORIGIN_COMPUTED) -> None:
         """Land one completed point; persistence follows the origin.
 
-        ``computed`` results are journaled and cached; ``cache`` hits
-        are journaled only (so a later resume needs neither the cache
-        nor a recompute); ``journal`` replays touch nothing — they *are*
-        the journal.
+        ``computed`` results are cached, then journaled, so a journaled
+        key always had its store write attempted; ``cache`` hits are
+        journaled only; ``journal`` replays touch nothing — the journal
+        already names them and the cache holds them.
         """
         with self.lock:
             record = self._records[key]
@@ -714,7 +703,7 @@ class JobStore:
             if origin == ORIGIN_COMPUTED and self.cache is not None:
                 self.cache.store(key, result)
             if origin != ORIGIN_JOURNAL and self.journal is not None:
-                self.journal.record_ok(record.point, result)
+                self.journal.record_ok(record.point)
 
     def mark_failed(self, failure: FailedPoint) -> None:
         key = failure.point.key()
@@ -727,22 +716,27 @@ class JobStore:
                 self.journal.record_failure(failure)
 
     def absorb_journal(self) -> int:
-        """Satisfy pending records from the journal replay; returns hits.
+        """Satisfy pending records the journal names as completed;
+        returns hits.
 
-        Journaled failures are deliberately *not* adopted: a failure
-        record is provisional, and resuming re-attempts the point.
+        A journaled key is adopted only when the cache returns its
+        result: a missing or damaged entry (the cache quarantines it)
+        leaves the point pending, to be recomputed.  Journaled failures
+        are deliberately *not* adopted: a failure record is provisional,
+        and resuming re-attempts the point.
         """
         from repro.sim.results import SimResult
 
-        if self.journal is None or not self.journal.exists():
+        if self.journal is None or self.cache is None \
+                or not self.journal.exists():
             return 0
-        state = self.journal.load()
+        completed = self.journal.load().completed
         hits = 0
         with self.lock:
             for record in self._records.values():
-                if record.state != PENDING:
+                if record.state != PENDING or record.key not in completed:
                     continue
-                hit = state.completed.get(record.key)
+                hit = self.cache.lookup(record.key)
                 if isinstance(hit, SimResult):
                     self.mark_done(record.key, hit, origin=ORIGIN_JOURNAL)
                     hits += 1
@@ -771,7 +765,8 @@ class JobStore:
         Completed points map to their results; failed points contribute
         their :class:`FailedPoint` (also in caller order, so
         ``to_dict()`` is deterministic).  ``resumed`` counts the
-        requested points satisfied from a journal replay.
+        requested points that a resume took from the journal and the
+        cache.
         """
         results = SweepResults()
         with self.lock:
@@ -801,8 +796,8 @@ def schedule_jobs(store: JobStore,
     mode/knob of one (workload, scale, seed, config) shares a single
     functional trace, and dispatches the groups.  Completed and failed
     points are folded back into the store the moment they land, and the
-    store persists them (journal, result cache), so progress is durable
-    mid-flight.
+    store persists them (result cache, then journal), so progress is
+    durable mid-flight.
 
     Whenever a ``timeout`` or ``watchdog`` is armed the groups run on a
     worker pool even for ``jobs=1`` or a single group, so the
@@ -906,11 +901,17 @@ def run_sweep(points: Iterable[SweepPoint],
 
     ``journal``: a path (or :class:`~repro.eval.journal.SweepJournal`)
     to which every completed/failed point is appended the moment it
-    lands, making the sweep durable against SIGKILL.  ``resume=True``
-    (requires ``journal``) replays the journal and computes only the
-    missing points; journaled failures are re-attempted.  While a
-    journal is active, SIGINT/SIGTERM raise :class:`SweepInterrupted`
-    (→ exit code 130/143) after the journal is consistent.
+    lands, after its result is in the cache, making the sweep durable
+    against SIGKILL.  Without a ``cache``, a journaled sweep uses a
+    private one in ``<journal>.store/``
+    (:attr:`~repro.eval.journal.SweepJournal.store_root`), which also
+    keeps each group's trace.  ``resume=True`` (requires ``journal``)
+    takes every journaled point whose result the cache still holds and
+    computes the rest; journaled failures are re-attempted.  A resume
+    must name the same cache as the first run, or every point is
+    recomputed.  While a journal is active, SIGINT/SIGTERM raise
+    :class:`SweepInterrupted` (→ exit code 130/143) after the journal is
+    consistent.
 
     Never raises for per-point failures — completed points are returned
     and failures are described on ``.failures``.  Call
@@ -937,6 +938,8 @@ def run_sweep(points: Iterable[SweepPoint],
     if resume and journal_obj is None:
         raise ValueError("resume=True requires a journal "
                          "(pass journal=<path>)")
+    if journal_obj is not None and cache is None:
+        cache = ResultCache(journal_obj.store_root)
 
     store = JobStore(journal=journal_obj, cache=cache)
     for point in ordered:

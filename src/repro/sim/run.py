@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Union
 
 from repro.compiler import compile_kernel
@@ -22,10 +21,6 @@ from repro.sim.results import PhaseResult, SimResult
 from repro.sim.tracestats import hops_matrix
 from repro.trace.tracer import Tracer, tracer_from_env
 from repro.workloads import Workload, make_workload
-
-#: Set to any non-empty value to disable the functional-trace replay fast
-#: path (record + replay of compiled programs and stream traces).
-_ENV_NO_REPLAY = "REPRO_NO_REPLAY"
 
 
 def run_workload(workload: Union[str, Workload, FunctionalTrace],
@@ -69,8 +64,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     this process's own write-back, so a loop over modes or knobs by name
     reads it once: a later run of the same key counts one store hit,
     reads no bytes and shares the first run's stream geometry and
-    decoded streams.  Disable with ``use_replay=False`` or
-    ``$REPRO_NO_REPLAY``; a custom ``space`` also builds live.
+    decoded streams.  Disable with ``use_replay=False``; a custom
+    ``space`` also builds live.
 
     ``fault_plan`` injects seeded, discrete faults at the real protocol
     sites (:mod:`repro.fault`): alias false positives, SE_L3 TLB aborts
@@ -101,7 +96,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
         # charge it to run.setup so profiles stay near-complete.
         with profiler.stage("run.setup"):
             tracer = tracer_from_env()
-    use_replay = use_replay and not os.environ.get(_ENV_NO_REPLAY)
 
     trace: Optional[FunctionalTrace] = None
     wl: Optional[Workload] = None

@@ -3,7 +3,8 @@
 The store is the state ``run_sweep`` schedules against (DESIGN.md §5h):
 records dedup by content key, and persistence follows the result's
 *origin* (computed → cache + journal, cache hit → journal only, journal
-replay → neither).
+replay → neither).  Results live only in the cache; the journal names
+the completed keys.
 """
 
 import pytest
@@ -131,20 +132,39 @@ def test_journal_replays_touch_neither_backend(tmp_path, sim_result,
 
 def test_absorb_journal_adopts_completed_not_failed(tmp_path, sim_result):
     journal = SweepJournal(tmp_path / "j.jsonl")
+    cache = ResultCache(tmp_path / "cache")
     done_point = _point(mode=ExecMode.BASE)
     failed_point = _point(mode=ExecMode.NS)
-    journal.record_ok(done_point, sim_result)
+    for point in (done_point, failed_point):
+        cache.store(point.key(), sim_result)
+    journal.record_ok(done_point)
     journal.record_failure(FailedPoint(
         point=failed_point, stage="run", error="RuntimeError",
         message="transient"))
-    store = JobStore(journal=journal)
+    store = JobStore(journal=journal, cache=cache)
     store.add(done_point)
     store.add(failed_point)
     assert store.absorb_journal() == 1
     assert store.state(done_point.key()) == DONE
     assert store.record(done_point.key()).origin == ORIGIN_JOURNAL
-    # failures are provisional: the point is re-attempted, not adopted
+    assert store.record(done_point.key()).result.to_dict() \
+        == sim_result.to_dict()
+    # failures are provisional: the point is not adopted from the
+    # journal (absorb_cache may still find it in the cache)
     assert store.state(failed_point.key()) == PENDING
+
+
+def test_absorb_journal_never_trusts_a_key_alone(tmp_path, sim_result):
+    """A journaled key whose cache entry is missing, or with no cache at
+    all, stays pending: the point is recomputed."""
+    journal = SweepJournal(tmp_path / "j.jsonl")
+    point = _point()
+    journal.record_ok(point)
+    for cache in (None, ResultCache(tmp_path / "empty")):
+        store = JobStore(journal=journal, cache=cache)
+        store.add(point)
+        assert store.absorb_journal() == 0
+        assert store.state(point.key()) == PENDING
 
 
 def test_absorb_cache_restricted_to_keys(tmp_path, sim_result):

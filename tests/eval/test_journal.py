@@ -1,11 +1,11 @@
 """The sweep journal: durable append, paranoid replay (DESIGN.md §5g)."""
 
-import base64
 import json
-import pickle
+
+import pytest
 
 from repro.config import SystemConfig
-from repro.eval.journal import (JOURNAL_SCHEMA, KIND_POINT, STATUS_OK,
+from repro.eval.journal import (JOURNAL_SCHEMA, KIND_POINT, STATUS_ERROR,
                                 SweepJournal, append_jsonl, iter_jsonl)
 from repro.eval.sweep import FailedPoint, SweepPoint
 from repro.offload.modes import ExecMode
@@ -17,22 +17,28 @@ def _point(workload="histogram", mode=ExecMode.NS):
 
 
 def test_ok_round_trip_is_bit_identical(tmp_path):
-    journal = SweepJournal(tmp_path / "j.jsonl")
+    """An ok line holds the point's identity, exactly, and nothing else:
+    the result lives in the store."""
+    path = tmp_path / "j.jsonl"
+    journal = SweepJournal(path)
     point = _point()
-    result = {"cycles": 1.5, "nested": [1, (2, 3)]}  # any picklable value
-    journal.record_ok(point, result)
+    journal.record_ok(point)
     state = journal.load()
-    assert state.completed == {point.key(): result}
-    assert pickle.dumps(state.completed[point.key()]) \
-        == pickle.dumps(result)
+    assert state.completed == {point.key()}
     assert state.corrupt == 0 and not state.failed
+    line = path.read_bytes()
+    assert len(line) < 300
+    assert json.loads(line) == {
+        "kind": KIND_POINT, "schema": JOURNAL_SCHEMA, "status": "ok",
+        "key": point.key(), "workload": "histogram", "mode": "ns",
+        "scale": 1.0 / 256.0, "seed": 42}
 
 
 def test_start_records_and_appended_counter(tmp_path):
     journal = SweepJournal(tmp_path / "j.jsonl")
     assert not journal.exists()
     journal.record_start(4)
-    journal.record_ok(_point(), "r")
+    journal.record_ok(_point())
     assert journal.exists()
     assert journal.appended == 2
     assert journal.load().starts == 1
@@ -48,9 +54,9 @@ def test_failure_round_trip_and_later_ok_wins(tmp_path):
     assert state.failed[point.key()]["stage"] == "timeout"
     assert state.failed[point.key()]["attempts"] == 3
     # a retry (or resumed run) later completes the same point: ok wins
-    journal.record_ok(point, "fresh")
+    journal.record_ok(point)
     state = journal.load()
-    assert state.completed[point.key()] == "fresh"
+    assert state.completed == {point.key()}
     assert point.key() not in state.failed
 
 
@@ -60,62 +66,71 @@ def test_ok_shields_against_stale_failures(tmp_path):
     un-complete it)."""
     journal = SweepJournal(tmp_path / "j.jsonl")
     point = _point()
-    journal.record_ok(point, "good")
+    journal.record_ok(point)
     journal.record_failure(FailedPoint(
         point=point, stage="run", error="RuntimeError", message="flake"))
     state = journal.load()
-    assert state.completed[point.key()] == "good"
+    assert state.completed == {point.key()}
     assert not state.failed
 
 
 def test_torn_tail_is_skipped_not_fatal(tmp_path):
     path = tmp_path / "j.jsonl"
     journal = SweepJournal(path)
-    journal.record_ok(_point(), "kept")
+    journal.record_ok(_point())
     with open(path, "ab") as fh:  # a crash mid-append tears the line
-        fh.write(b'{"kind": "sweep-point", "schema": 1, "status": "ok"')
+        fh.write(b'{"kind": "sweep-point", "schema": 2, "status": "ok"')
     state = journal.load()
     assert len(state.completed) == 1
     assert state.corrupt == 0  # a torn line never parses: not counted
 
 
-def test_checksum_mismatch_and_bad_base64_are_corrupt(tmp_path):
+def test_foreign_schema_and_keyless_lines_are_corrupt(tmp_path):
+    """Lines of another journal schema (schema 1 carried a pickled
+    result) and point lines without a key are counted, not adopted."""
     path = tmp_path / "j.jsonl"
     journal = SweepJournal(path)
-    point = _point()
-    journal.record_ok(point, "value")
+    point, old = _point(mode=ExecMode.NS), _point(mode=ExecMode.BASE)
+    journal.record_ok(point)
     record = json.loads(path.read_text())
-    bad_sum = dict(record, payload=base64.b64encode(
-        pickle.dumps("tampered")).decode("ascii"))
-    bad_b64 = dict(record, payload="!!!not-base64!!!")
-    bad_schema = dict(record, schema=JOURNAL_SCHEMA + 1)
+    schema1 = dict(record, key=old.key(), schema=1, sha256="0" * 64,
+                   payload="gASVBAAAAAAAAACMAXiULg==")
     no_key = {k: v for k, v in record.items() if k != "key"}
     with open(path, "a") as fh:
-        for bad in (bad_sum, bad_b64, bad_schema, no_key):
+        for bad in (schema1, no_key):
             fh.write(json.dumps(bad) + "\n")
     state = journal.load()
-    assert state.completed == {point.key(): "value"}
-    assert state.corrupt == 4
+    assert state.completed == {point.key()}
+    assert state.corrupt == 2
 
 
-def test_unpicklable_payload_is_corrupt_not_fatal(tmp_path):
-    import hashlib
+@pytest.mark.parametrize("attempts", ["two", [1], float("inf")],
+                         ids=["text", "list", "infinity"])
+def test_malformed_failure_attempts_are_corrupt(tmp_path, attempts):
+    """A failure line whose attempt count is no number is counted and
+    skipped; the lines around it still load."""
     path = tmp_path / "j.jsonl"
-    payload = b"\x80\x04not really a pickle"
-    record = {"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
-              "status": STATUS_OK, "key": "k1",
-              "sha256": hashlib.sha256(payload).hexdigest(),
-              "payload": base64.b64encode(payload).decode("ascii")}
-    path.write_text(json.dumps(record) + "\n")
-    state = SweepJournal(path).load()
-    assert not state.completed
+    journal = SweepJournal(path)
+    before, bad, after = (_point(mode=m) for m in (
+        ExecMode.BASE, ExecMode.NS, ExecMode.INST))
+    journal.record_ok(before)
+    append_jsonl(path, {"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
+                        "status": STATUS_ERROR, "key": bad.key(),
+                        "stage": "run", "attempts": attempts})
+    journal.record_failure(FailedPoint(
+        point=after, stage="timeout", error="TimeoutError", message="slow",
+        attempts=2))
+    state = journal.load()
     assert state.corrupt == 1
+    assert state.completed == {before.key()}
+    assert set(state.failed) == {after.key()}
+    assert state.failed[after.key()]["attempts"] == 2
 
 
 def test_foreign_and_unknown_lines(tmp_path):
     path = tmp_path / "j.jsonl"
     journal = SweepJournal(path)
-    journal.record_ok(_point(), "v")
+    journal.record_ok(_point())
     with open(path, "a") as fh:
         # a foreign record sharing the file: skipped silently
         fh.write(json.dumps({"kind": "sweep", "seconds": 1.2}) + "\n")
@@ -160,8 +175,11 @@ def test_iter_jsonl_skips_torn_and_foreign_lines(tmp_path):
 
 
 def test_concurrent_appenders_never_tear_a_line(tmp_path):
-    """Many threads appending to one journal: every record lands intact."""
+    """Many threads appending multi-KB lines to one journal: every
+    record lands intact."""
     import threading
+
+    from repro.eval.sweep import clip_traceback
 
     path = tmp_path / "j.jsonl"
     n_threads, per_thread = 8, 25
@@ -172,10 +190,16 @@ def test_concurrent_appenders_never_tear_a_line(tmp_path):
     for point in points.values():
         point.key()  # hash the config before the race, not during it
 
+    def traceback_of(t, i):
+        return clip_traceback(f"frame {t}/{i}\n" * 300)  # ~2 KB, clipped
+
     def writer(tid):
         journal = SweepJournal(path)
         for i in range(per_thread):
-            journal.record_ok(points[tid, i], {"pad": "x" * 200, "i": i})
+            journal.record_failure(FailedPoint(
+                point=points[tid, i], stage="run", error="RuntimeError",
+                message=f"boom {i}", traceback=traceback_of(tid, i),
+                attempts=i + 1))
 
     threads = [threading.Thread(target=writer, args=(t,))
                for t in range(n_threads)]
@@ -184,10 +208,14 @@ def test_concurrent_appenders_never_tear_a_line(tmp_path):
     for t in threads:
         t.join()
 
+    assert min(len(line) for line in path.read_bytes().splitlines()) > 2000
     state = SweepJournal(path).load()
     assert state.corrupt == 0
-    assert state.completed == {p.key(): {"pad": "x" * 200, "i": i}
-                               for (_, i), p in points.items()}
+    assert state.failed == {
+        p.key(): {"stage": "run", "error": "RuntimeError",
+                  "message": f"boom {i}", "traceback": traceback_of(t, i),
+                  "attempts": i + 1}
+        for (t, i), p in points.items()}
 
 
 def test_truncated_multibyte_tail_is_skipped(tmp_path):
@@ -196,19 +224,19 @@ def test_truncated_multibyte_tail_is_skipped(tmp_path):
     journal = SweepJournal(path)
     first, failed, last = (_point(mode=m) for m in (
         ExecMode.BASE, ExecMode.NS, ExecMode.INST))
-    journal.record_ok(first, "first")
+    journal.record_ok(first)
     line = json.dumps({"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
                        "status": "error", "key": failed.key(),
                        "message": "snow\u2603man"},
                       ensure_ascii=False).encode() + b"\n"
     with open(path, "ab") as fh:
         fh.write(line)           # intact non-ASCII record
-    journal.record_ok(last, "last")
+    journal.record_ok(last)
     with open(path, "ab") as fh:
         fh.write(line[:-8])      # torn tail, cut inside the 3-byte rune
 
     state = journal.load()
-    assert state.completed == {first.key(): "first", last.key(): "last"}
+    assert state.completed == {first.key(), last.key()}
     assert state.failed[failed.key()]["message"] == "snow\u2603man"
     assert state.corrupt == 0
 
@@ -217,10 +245,10 @@ def test_raw_invalid_utf8_line_is_skipped(tmp_path):
     path = tmp_path / "j.jsonl"
     journal = SweepJournal(path)
     before, after = _point(mode=ExecMode.BASE), _point(mode=ExecMode.NS)
-    journal.record_ok(before, "before")
+    journal.record_ok(before)
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe garbage bytes \x80\n")
-    journal.record_ok(after, "after")
+    journal.record_ok(after)
     state = journal.load()
-    assert state.completed == {before.key(): "before", after.key(): "after"}
+    assert state.completed == {before.key(), after.key()}
     assert state.corrupt == 0

@@ -23,7 +23,8 @@ import pytest
 
 import repro.sim.run as run_mod
 from repro.config import SystemConfig
-from repro.eval.journal import SweepJournal
+from repro.eval.journal import SweepJournal, append_jsonl
+from repro.eval.result_cache import ResultCache
 from repro.eval.sweep import SweepInterrupted, SweepPoint, run_sweep
 from repro.offload.modes import ExecMode
 
@@ -71,6 +72,19 @@ def _spawn_child(journal: Path, jobs: int = 1) -> subprocess.Popen:
         stderr=subprocess.PIPE, text=True)
 
 
+def _count_runs(monkeypatch) -> list:
+    """Record one entry per ``run_workload`` call from here on."""
+    calls = []
+    real = run_mod.run_workload
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(run_mod, "run_workload", counting)
+    return calls
+
+
 def _journaled_points(journal: Path) -> int:
     if not journal.exists():
         return 0
@@ -105,11 +119,17 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, jobs):
     points = _points()
     survived = SweepJournal(journal).load()
     assert 0 < len(survived.completed) < len(points)
+    # The store is written before the journal, so a kill between the two
+    # leaves a stored point with no journal line: the resume takes it
+    # from the store without counting it as resumed.
+    store = ResultCache(SweepJournal(journal).store_root)
+    stored = {p.key() for p in points if store.lookup(p.key()) is not None}
+    assert survived.completed <= stored
 
     uninterrupted = run_sweep(points, jobs=1)
     assert uninterrupted.ok
 
-    # Resume must compute only the missing points...
+    # Resume must compute only the points the store lacks...
     calls = []
     real = run_mod.run_workload
 
@@ -124,7 +144,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, jobs):
         run_mod.run_workload = real
     assert resumed.ok
     assert resumed.resumed == len(survived.completed)
-    assert len(calls) == len(points) - resumed.resumed
+    assert len(calls) == len(points) - len(stored)
 
     # ...and the merged results must be bit-identical to one clean run.
     assert resumed.to_dict() == uninterrupted.to_dict()
@@ -192,20 +212,113 @@ def test_journaled_failures_are_reattempted_on_resume(tmp_path):
     assert not SweepJournal(journal).load().failed  # ok superseded it
 
 
-def test_cache_hits_are_journaled_too(tmp_path):
+def test_cache_hits_are_journaled_too(tmp_path, monkeypatch):
     """Points satisfied from the result cache still land in the journal,
-    so a later resume needs neither the cache nor a recompute."""
-    from repro.eval.result_cache import ResultCache
+    by key: a resume on the same cache takes them from it, and a resume
+    on another store recomputes them."""
     point = _points()[0]
-    cache = ResultCache(tmp_path / "cache")
-    first = run_sweep([point], jobs=1, cache=cache)
+    first = run_sweep([point], jobs=1,
+                      cache=ResultCache(tmp_path / "cache"))
 
     journal = tmp_path / "sweep.jsonl"
     run_sweep([point], jobs=1, cache=ResultCache(tmp_path / "cache"),
               journal=journal)
+    assert SweepJournal(journal).load().completed == {point.key()}
+    assert not SweepJournal(journal).store_root.exists()
+
+    calls = _count_runs(monkeypatch)
+    again = run_sweep([point], jobs=1, cache=ResultCache(tmp_path / "cache"),
+                      journal=journal, resume=True)
+    assert again.resumed == 1 and not calls
+    assert again[point].to_dict() == first[point].to_dict()
+    elsewhere = run_sweep([point], jobs=1, journal=journal, resume=True)
+    assert elsewhere.resumed == 0 and len(calls) == 1
+    assert elsewhere[point].to_dict() == first[point].to_dict()
+
+
+def test_uncached_journaled_sweep_keeps_a_private_store(tmp_path,
+                                                        monkeypatch):
+    """Without a cache the results and traces go to <journal>.store/,
+    so a resume, or a plain re-run, simulates nothing."""
+    from repro.sim.replay import FunctionalTrace
+    from repro.workloads.build_cache import trace_key
+
+    journal = tmp_path / "sweep.jsonl"
+    points = _points()[:2]
+    first = run_sweep(points, jobs=1, journal=journal)
+    store = ResultCache(tmp_path / "sweep.jsonl.store")
+    assert all(store.lookup(p.key()) is not None for p in points)
+    assert isinstance(store.lookup(trace_key(
+        "histogram", SCALE, 42, SystemConfig.ooo8())), FunctionalTrace)
+
+    calls = _count_runs(monkeypatch)
+    again = run_sweep(points, jobs=1, journal=journal, resume=True)
+    assert not calls and again.resumed == len(points)
+    assert again.to_dict() == first.to_dict()
+    rerun = run_sweep(points, jobs=1, journal=journal)
+    assert not calls and rerun.resumed == 0
+    assert rerun.to_dict() == first.to_dict()
+
+
+def test_resume_recomputes_missing_and_damaged_store_entries(tmp_path,
+                                                             monkeypatch):
+    """A journaled point whose store entry was deleted, or byte-flipped
+    (and so quarantined), is recomputed, never trusted; its group
+    replays the stored trace instead of rebuilding the workload."""
+    import repro.sim.replay as replay
+
+    journal = tmp_path / "sweep.jsonl"
+    points = _points()[:4]
+    first = run_sweep(points, jobs=1, journal=journal)
+    store = ResultCache(SweepJournal(journal).store_root)
+    deleted, flipped = points[0], points[3]
+    store._path(deleted.key()).unlink()
+    entry = store._path(flipped.key())
+    blob = bytearray(entry.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    entry.write_bytes(bytes(blob))
+
+    calls = _count_runs(monkeypatch)
+    records = []
+    real_record = replay.record_trace
+    monkeypatch.setattr(replay, "record_trace",
+                        lambda *a, **k: records.append(1)
+                        or real_record(*a, **k))
+    resumed = run_sweep(points, jobs=1, journal=journal, resume=True)
+    assert resumed.resumed == len(points) - 2
+    assert len(calls) == 2 and not records
+    assert resumed.to_dict() == first.to_dict()
+    assert list(store.quarantine_root.glob(f"{flipped.key()}.*"))
+
+
+def test_schema1_journal_lines_are_corrupt_and_recomputed(tmp_path,
+                                                          monkeypatch):
+    """A journal written before results left it (schema 1: each ok line
+    a pickled result with its SHA-256) resumes by recomputing: its lines
+    are counted corrupt, their payloads never read."""
+    import base64
+    import hashlib
+    import pickle
+
+    points = _points()[:2]
+    clean = run_sweep(points, jobs=1)
+    journal = tmp_path / "sweep.jsonl"
+    for p in points:
+        payload = pickle.dumps(clean[p], protocol=pickle.HIGHEST_PROTOCOL)
+        append_jsonl(journal, {
+            "kind": "sweep-point", "schema": 1, "status": "ok",
+            "key": p.key(), "workload": p.workload, "mode": p.mode.value,
+            "scale": p.scale, "seed": p.seed,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "payload": base64.b64encode(payload).decode("ascii")})
+
+    calls = _count_runs(monkeypatch)
+    resumed = run_sweep(points, jobs=1, journal=journal, resume=True)
+    assert resumed.resumed == 0 and len(calls) == len(points)
+    assert resumed.to_dict() == clean.to_dict()
     state = SweepJournal(journal).load()
-    assert state.completed[point.key()].to_dict() \
-        == first[point].to_dict()
+    assert state.corrupt == len(points)
+    assert state.completed == {p.key() for p in points}
 
 
 def test_failure_records_carry_truncated_tracebacks(tmp_path):

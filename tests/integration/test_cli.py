@@ -243,10 +243,12 @@ def test_sweep_command_with_journal_and_resume(tmp_path, capsys):
     # resume from a complete journal: pure replay, identical JSON
     assert main([*argv, "--resume", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == first
-    # and the human-readable form reports the resume
+    # and the human-readable form reports the resume and the private
+    # store that holds the results
     assert main([*argv, "--resume"]) == 0
     out = capsys.readouterr().out
     assert "4 point(s) resumed" in out and "speedup" in out
+    assert f"results in {journal}.store" in out
 
 
 def test_sweep_failures_print_summary_table_and_exit_1(tmp_path, capsys,
@@ -269,6 +271,21 @@ def test_sweep_failures_print_summary_table_and_exit_1(tmp_path, capsys,
 def test_sweep_resume_requires_journal(capsys):
     assert main(["sweep", "histogram", "--resume", *SMALL]) == 2
     assert "--resume requires --journal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resume", [[], ["--resume"]],
+                         ids=["run", "resume"])
+def test_sweep_rejects_a_journal_directory(tmp_path, capsys, monkeypatch,
+                                           resume):
+    import repro.sim.run as run_mod
+
+    monkeypatch.setattr(run_mod, "run_workload",
+                        lambda *a, **k: pytest.fail("simulated"))
+    assert main(["sweep", "histogram", "--journal", str(tmp_path),
+                 *resume, *SMALL]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: --journal") and "is a directory" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_rejects_bad_workload(capsys):

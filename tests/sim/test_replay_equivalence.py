@@ -206,15 +206,13 @@ def test_foreign_value_under_trace_key_is_a_miss(cache_dir):
     assert "run.record" in profiler.stages
 
 
-def test_no_replay_env_disables_fast_path(cache_dir, monkeypatch):
+def test_use_replay_false_disables_fast_path(cache_dir):
     config = SystemConfig.ooo8()
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     result = run_workload("bfs_push", ExecMode.NS, config=config,
-                          scale=SCALE)
+                          scale=SCALE, use_replay=False)
     assert "run.replay" not in result.profile
     assert "run.record" not in result.profile
     assert not cache_dir.exists()  # the store was never touched
-    monkeypatch.delenv("REPRO_NO_REPLAY")
     live = _live("bfs_push", ExecMode.NS, config)
     _assert_identical(live, result)
 
