@@ -95,7 +95,7 @@ def iter_jsonl(path: os.PathLike):
 
 
 class JournalState:
-    """What a journal replay recovered.
+    """What a journal read recovered.
 
     ``completed`` is the set of point keys journaled as completed; their
     results are in the store.  ``failed`` maps point keys to the

@@ -918,7 +918,7 @@ def run_sweep(points: Iterable[SweepPoint],
     :meth:`SweepResults.raise_on_failure` for the old strict behavior.
 
     It loads a :class:`JobStore` with the deduplicated points, satisfies
-    what it can from the journal (``resume=True``) and the result cache,
+    what it can from the cache, journaled points first (``resume=True``),
     hands the rest to :func:`schedule_jobs`, and reads the
     :class:`SweepResults` back out of the store.
     """

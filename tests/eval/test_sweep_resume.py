@@ -149,7 +149,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, jobs):
     # ...and the merged results must be bit-identical to one clean run.
     assert resumed.to_dict() == uninterrupted.to_dict()
 
-    # A second resume is a pure journal replay: nothing recomputed.
+    # A second resume reads every point back: nothing recomputed.
     again = run_sweep(points, jobs=1, journal=journal, resume=True)
     assert again.resumed == len(points)
     assert again.to_dict() == uninterrupted.to_dict()

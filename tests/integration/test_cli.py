@@ -240,7 +240,7 @@ def test_sweep_command_with_journal_and_resume(tmp_path, capsys):
     first = json.loads(capsys.readouterr().out)
     assert len(first["results"]) == 4  # 2 workloads x (base, ns)
     assert first["failures"] == []
-    # resume from a complete journal: pure replay, identical JSON
+    # resume from a complete journal: all read back, identical JSON
     assert main([*argv, "--resume", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == first
     # and the human-readable form reports the resume and the private
